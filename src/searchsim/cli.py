@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .config import BACKEND_HTTP, BACKEND_SCRIPTED, CampaignConfig, ConfigError
 from .corpus import ParseReport
-from .index import build_index, load_index, save_index
+from .index import IndexFormatError, build_index, load_index, save_index
 from .llm import probe_endpoint
 from .metrics import (
     SCOPE_INSPECTED,
@@ -23,9 +23,11 @@ from .metrics import (
     write_csv,
 )
 from .session import (
+    CampaignError,
     read_campaign_manifest,
     read_session_log,
     run_campaign,
+    session_log_filename,
     write_campaign_manifest,
     write_session_log,
 )
@@ -67,8 +69,7 @@ def cmd_index(args) -> int:
     try:
         report = ParseReport()
         documents = config.load_documents(report)
-        index = build_index(documents, stopwords=config.index_stopwords(),
-                            stem=config.stem)
+        index = build_index(documents, **config.index_options())
         config.output_dir.mkdir(parents=True, exist_ok=True)
         path = _index_path(config)
         save_index(index, path)
@@ -99,6 +100,16 @@ def cmd_simulate(args) -> int:
             return _fail(f"chat endpoint unreachable: {config.endpoint}", EXIT_RUNTIME)
     try:
         index = load_index(index_path)
+    except IndexFormatError as exc:
+        return _fail(f"{index_path}: {exc}", EXIT_VALIDATION)
+    except OSError as exc:
+        return _fail(f"cannot read index {index_path}: {exc}", EXIT_RUNTIME)
+    mismatches = config.index_mismatches(index)
+    if mismatches:
+        return _fail(f"index {index_path} was built with other options than the config: "
+                     f"{', '.join(mismatches)}; rebuild the index with `searchsim index`",
+                     EXIT_VALIDATION)
+    try:
         topics = config.load_topics()
         qrels = config.load_qrels()
         backend = config.make_backend()
@@ -114,6 +125,8 @@ def cmd_simulate(args) -> int:
             write_session_log(log, logs_dir)
         write_campaign_manifest(logs_dir, logs, campaign_seed=config.campaign_seed,
                                 config_hash=config_hash)
+    except CampaignError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
     except Exception as exc:
         return _fail(f"simulation failed: {exc}", EXIT_RUNTIME)
     anomalies = sum(log.anomaly_count for log in logs)
@@ -172,7 +185,7 @@ def cmd_evaluate(args) -> int:
             ig = information_gain_curve(log)
             sd = sdcg_curve(log, b=args.sdcg_b, bq=args.sdcg_bq,
                             scope=args.scope, qrels=qrels)
-            stem = f"{log.topic_id}__{log.user_kind.value}"
+            stem = session_log_filename(log).removesuffix(".jsonl")
             write_csv(raw_dir / f"{stem}.ig.csv", ig.points, ("x", "y"))
             write_csv(raw_dir / f"{stem}.sdcg.csv", sd.points, ("x", "y"))
             by_kind.setdefault(log.user_kind.value, []).append((ig, sd))

@@ -25,7 +25,7 @@ from .corpus import (
     parse_topics,
     parse_trectext,
 )
-from .index import DEFAULT_B, DEFAULT_K1, ENGLISH_STOPWORDS
+from .index import DEFAULT_B, DEFAULT_K1, ENGLISH_STOPWORDS, InvertedIndex
 from .llm import BackendConfig, HttpBackend, ScriptedBackend, load_reply_table
 from .session import CostModel, SessionPolicy, SnippetStopRule, validate_campaign_kinds
 
@@ -208,8 +208,21 @@ class CampaignConfig:
     def load_qrels(self, report: ParseReport | None = None) -> QrelSet:
         return parse_qrels(Path(self.qrels_path).read_bytes(), report=report)
 
-    def index_stopwords(self) -> frozenset[str] | None:
-        return ENGLISH_STOPWORDS if self.stopwords else None
+    def index_options(self) -> dict:
+        """Keyword arguments of ``build_index``; a built index keeps them."""
+        return {"stopwords": ENGLISH_STOPWORDS if self.stopwords else None,
+                "stem": self.stem, "k1": self.k1, "b": self.b}
+
+    def index_mismatches(self, index: InvertedIndex) -> list[str]:
+        """Index options on which a built index disagrees with this config."""
+        found = []
+        for name, wanted in self.index_options().items():
+            built = getattr(index, name)
+            if built != wanted:
+                if name == "stopwords":
+                    built, wanted = built is not None, wanted is not None
+                found.append(f"{name} (index {built}, config {wanted})")
+        return found
 
     def make_backend(self):
         if self.backend_kind == BACKEND_SCRIPTED:
@@ -232,8 +245,6 @@ class CampaignConfig:
             "queries_per_session": self.queries_per_session,
             "p_random": self.p_random,
             "snippet_max_chars": self.snippet_max_chars,
-            "k1": self.k1,
-            "b": self.b,
             "max_summary_words": self.max_summary_words,
         }
 

@@ -1,10 +1,13 @@
 """In-memory inverted index with BM25 ranking, result paging, and snippets."""
 from __future__ import annotations
 
+import gc
+import heapq
 import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .corpus import Document
@@ -58,19 +61,33 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None, stem: bool = Fa
 
 @dataclass
 class InvertedIndex:
+    """Postings and documents plus the BM25 options fixed at build time.
+
+    ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are derived from the documents
+    and their lengths. BM25 contributions are computed once per term on first
+    use; the cache publishes finished lists only and never changes them, so
+    concurrent sessions may share one index.
+    """
+
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)], ordinals ascending
     doc_lengths: list[int]
-    doc_ids: list[str]
-    n_docs: int
-    avg_doc_len: float
     documents: list[Document]
     stopwords: frozenset[str] | None = None
     stem: bool = False
-    _by_id: dict[str, int] = field(default_factory=dict, repr=False)
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
+    doc_ids: list[str] = field(init=False)
+    n_docs: int = field(init=False)
+    avg_doc_len: float = field(init=False)
+    _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _impacts: dict[str, list[tuple[int, float]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._by_id:
-            self._by_id = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self.doc_ids = [d.doc_id for d in self.documents]
+        self.n_docs = len(self.doc_lengths)
+        self.avg_doc_len = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
+        self._by_id = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self._impacts = {}
 
     def df(self, term: str) -> int:
         return len(self.postings.get(term, ()))
@@ -84,6 +101,32 @@ class InvertedIndex:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
+
+    def impacts(self, term: str) -> list[tuple[int, float]]:
+        """(doc_ordinal, bm25_score) for each posting of an indexed term."""
+        impacts = self._impacts.get(term)
+        if impacts is None:
+            plist = self.postings[term]
+            df = len(plist)
+            impacts = [(ordinal, bm25_score(tf, df, self.doc_lengths[ordinal], self.avg_doc_len,
+                                            self.n_docs, self.k1, self.b))
+                       for ordinal, tf in plist]
+            # a thread that lost the race uses the list published first
+            impacts = self._impacts.setdefault(term, impacts)
+        return impacts
+
+    def scores(self, terms: list[str]) -> dict[int, float]:
+        """{doc_ordinal: BM25 score} of the documents matching analyzed query
+        terms, summed in query-token order (a repeated token counts again), so
+        every score is the same float as a per-posting bm25_score sum."""
+        scores: dict[int, float] = {}
+        for term in terms:
+            if term not in self.postings:
+                continue
+            get = scores.get
+            for ordinal, impact in self.impacts(term):
+                scores[ordinal] = get(ordinal, 0.0) + impact
+        return scores
 
 
 @dataclass
@@ -100,17 +143,20 @@ class Serp:
 
 
 def build_index(documents: list[Document], *, stopwords: frozenset[str] | None = None,
-                stem: bool = False) -> InvertedIndex:
-    """Build an inverted index; title tokens are folded into the body stream."""
+                stem: bool = False, k1: float = DEFAULT_K1, b: float = DEFAULT_B
+                ) -> InvertedIndex:
+    """Build an inverted index; title tokens are folded into the body stream.
+
+    The BM25 parameters ``k1`` and ``b`` are stored with the index and used
+    by every search against it.
+    """
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
-    doc_ids: list[str] = []
     seen: set[str] = set()
     for ordinal, doc in enumerate(documents):
         if doc.doc_id in seen:
             raise IndexBuildError(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
-        doc_ids.append(doc.doc_id)
         tokens = tokenize(doc.title or "", stopwords, stem) + tokenize(doc.body, stopwords, stem)
         doc_lengths.append(len(tokens))
         counts: dict[str, int] = {}
@@ -118,11 +164,8 @@ def build_index(documents: list[Document], *, stopwords: frozenset[str] | None =
             counts[t] = counts.get(t, 0) + 1
         for term in sorted(counts):
             postings.setdefault(term, []).append((ordinal, counts[term]))
-    n_docs = len(doc_lengths)
-    avg = sum(doc_lengths) / n_docs if n_docs else 0.0
-    return InvertedIndex(postings=postings, doc_lengths=doc_lengths, doc_ids=doc_ids,
-                         n_docs=n_docs, avg_doc_len=avg, documents=list(documents),
-                         stopwords=stopwords, stem=stem)
+    return InvertedIndex(postings=postings, doc_lengths=doc_lengths, documents=list(documents),
+                         stopwords=stopwords, stem=stem, k1=k1, b=b)
 
 
 def bm25_score(tf: int, df: int, doc_len: int, avg_doc_len: float, n_docs: int,
@@ -147,31 +190,36 @@ def bm25_score(tf: int, df: int, doc_len: int, avg_doc_len: float, n_docs: int,
     return idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * ratio))
 
 
-def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10, *,
-           k1: float = DEFAULT_K1, b: float = DEFAULT_B,
-           snippet_max_chars: int = 160) -> Serp:
-    """Score the query against the index and return one page of results.
+def rank_documents(index: InvertedIndex, query: str, depth: int) -> list[tuple[int, float]]:
+    """The ``depth`` best (doc_ordinal, score) pairs for the query, best first.
 
-    Each document's score sums bm25_score over the query's tokens (duplicates
-    in the query count again). Ties break by doc_id ascending so results are
-    reproducible. A query with no indexed terms yields an empty page.
+    Each document's score sums bm25_score, with the index's k1 and b, over
+    the query's tokens (duplicates in the query count again). Ties break by
+    doc_id ascending so results are reproducible.
+    """
+    scores = index.scores(tokenize(query, index.stopwords, index.stem))
+    doc_ids = index.doc_ids
+    return heapq.nsmallest(depth, scores.items(), key=lambda kv: (-kv[1], doc_ids[kv[0]]))
+
+
+def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10, *,
+           snippet_max_chars: int = 160,
+           ranking: list[tuple[int, float]] | None = None) -> Serp:
+    """Rank the query against the index and return one page of results.
+
+    A query with no indexed terms yields an empty page. A caller that pages
+    through one query passes ``ranking``, the result of
+    ``rank_documents(index, query, depth)`` for a depth of at least
+    ``page * page_size``, so that the query is scored once for all its pages.
     """
     if page < 1 or page_size < 1:
         raise ValueError("page and page_size must be >= 1")
-    scores: dict[int, float] = {}
-    for term in tokenize(query, index.stopwords, index.stem):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        df = len(plist)
-        for ordinal, tf in plist:
-            contribution = bm25_score(tf, df, index.doc_lengths[ordinal],
-                                      index.avg_doc_len, index.n_docs, k1, b)
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], index.doc_ids[kv[0]]))
+    if ranking is None:
+        ranking = rank_documents(index, query, page * page_size)
     start = (page - 1) * page_size
-    rows = ranked[start:start + page_size]
-    results = [(start + i + 1, index.doc_ids[ordinal], score)
+    rows = ranking[start:start + page_size]
+    doc_ids = index.doc_ids
+    results = [(start + i + 1, doc_ids[ordinal], score)
                for i, (ordinal, score) in enumerate(rows)]
     snippets = [make_snippet(index.documents[ordinal], query, snippet_max_chars)
                 for ordinal, _ in rows]
@@ -217,7 +265,8 @@ def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:
 # --- on-disk form -------------------------------------------------------------
 
 _FORMAT_NAME = "searchsim.index"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_REBUILD = "rerun `searchsim index` to rebuild it"
 
 
 def index_to_bytes(index: InvertedIndex) -> bytes:
@@ -226,11 +275,11 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
         "version": _FORMAT_VERSION,
         "stopwords": sorted(index.stopwords) if index.stopwords else None,
         "stem": index.stem,
-        "doc_ids": index.doc_ids,
+        "k1": index.k1,
+        "b": index.b,
         "doc_lengths": index.doc_lengths,
-        "n_docs": index.n_docs,
-        "avg_doc_len": index.avg_doc_len,
-        "postings": {t: [[o, tf] for o, tf in plist] for t, plist in index.postings.items()},
+        # one flat [ordinal, tf, ordinal, tf, ...] list per term
+        "postings": {t: list(chain.from_iterable(plist)) for t, plist in index.postings.items()},
         "documents": [
             {"doc_id": d.doc_id, "title": d.title, "body": d.body, "source": d.source}
             for d in index.documents
@@ -245,23 +294,36 @@ def index_from_bytes(data: bytes) -> InvertedIndex:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise IndexFormatError(f"not an index file: {exc}") from exc
-    if payload.get("format") != _FORMAT_NAME:
+    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
         raise IndexFormatError("unrecognized index format")
     if payload.get("version") != _FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported index version {payload.get('version')}")
-    documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
-                          source=d["source"]) for d in payload["documents"]]
-    stopwords = payload["stopwords"]
-    return InvertedIndex(
-        postings={t: [(o, tf) for o, tf in plist] for t, plist in payload["postings"].items()},
-        doc_lengths=list(payload["doc_lengths"]),
-        doc_ids=list(payload["doc_ids"]),
-        n_docs=payload["n_docs"],
-        avg_doc_len=payload["avg_doc_len"],
-        documents=documents,
-        stopwords=frozenset(stopwords) if stopwords else None,
-        stem=bool(payload["stem"]),
-    )
+        raise IndexFormatError(f"index format version {payload.get('version')} is not "
+                               f"supported (expected {_FORMAT_VERSION}); {_REBUILD}")
+    # Hundreds of thousands of postings tuples are created below and none
+    # forms a cycle; with the collector on, their allocation triggers full
+    # collections that rescan the growing heap, which took over half the load
+    # time of a 4000-document index.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
+                              source=d["source"]) for d in payload["documents"]]
+        stopwords = payload["stopwords"]
+        return InvertedIndex(
+            postings={t: list(zip(flat[::2], flat[1::2]))
+                      for t, flat in payload["postings"].items()},
+            doc_lengths=payload["doc_lengths"],
+            documents=documents,
+            stopwords=frozenset(stopwords) if stopwords else None,
+            stem=bool(payload["stem"]),
+            k1=float(payload["k1"]),
+            b=float(payload["b"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise IndexFormatError(f"malformed index file ({exc!r}); {_REBUILD}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -157,21 +158,8 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
 
 # --- aggregation -----------------------------------------------------------------
 
-Points = Sequence[tuple[float, float]]
-
-
-def _as_points(curve) -> Points:
+def _as_points(curve) -> Sequence[tuple[float, float]]:
     return curve.points if hasattr(curve, "points") else curve
-
-
-def step_value(points: Points, x: float) -> float:
-    """Last value at or before x (0 before the first point)."""
-    value = 0.0
-    for px, py in points:
-        if px > x:
-            break
-        value = py
-    return value
 
 
 def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
@@ -179,18 +167,28 @@ def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
     """Mean curve over sessions: step-interpolate each curve onto the grid
     (last value carried forward, 0 before the first point) and average.
 
-    Without an explicit grid, the sorted union of all curves' x values is
-    used. Returns (x, mean_y, n) rows.
+    Each curve's x values must be non-decreasing, as the IG and sDCG curves'
+    are. Without an explicit grid, the sorted union of all curves' x values
+    is used. Returns (x, mean_y, n) rows.
     """
     if not curves:
         raise ValueError("at least one curve is required")
-    point_lists = [_as_points(c) for c in curves]
+    columns = [([x for x, _ in points], [y for _, y in points])
+               for points in map(_as_points, curves)]
+    for xs, _ in columns:
+        if any(a > b for a, b in zip(xs, xs[1:])):
+            raise ValueError("curve x values must be non-decreasing")
     if x_grid is None:
-        grid = sorted({x for points in point_lists for x, _ in points})
+        grid = sorted({x for xs, _ in columns for x in xs})
     else:
         grid = list(x_grid)
-    n = len(point_lists)
-    return [(x, sum(step_value(p, x) for p in point_lists) / n, n) for x in grid]
+    n = len(columns)
+    rows = []
+    for x in grid:
+        # one value per curve, summed in curve order like a linear scan's
+        values = [ys[i - 1] if (i := bisect_right(xs, x)) else 0.0 for xs, ys in columns]
+        rows.append((x, sum(values) / n, n))
+    return rows
 
 
 # --- CSV output ------------------------------------------------------------------

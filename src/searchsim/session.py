@@ -31,7 +31,7 @@ from .agents import (
     update_knowledge_state,
 )
 from .corpus import QrelSet, Topic
-from .index import InvertedIndex, search
+from .index import InvertedIndex, rank_documents, search
 from .llm import BackendError
 
 # Interaction kinds
@@ -163,8 +163,6 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                 preset_queries: list[str] | None = None,
                 p_random: float = 0.5,
                 snippet_max_chars: int = 160,
-                k1: float = 1.2,
-                b: float = 0.75,
                 max_summary_words: int = 200) -> SessionLog:
     """Run one simulated session and return its interaction log.
 
@@ -238,9 +236,11 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     def _scan(query: str) -> None:
         viewed = 0
         consecutive = 0
+        # scored once, to the deepest page the policy can reach
+        ranking = rank_documents(index, query, policy.max_pages_per_query * policy.page_size)
         for page in range(1, policy.max_pages_per_query + 1):
             serp = search(index, query, page, policy.page_size,
-                          k1=k1, b=b, snippet_max_chars=snippet_max_chars)
+                          snippet_max_chars=snippet_max_chars, ranking=ranking)
             if not serp.results:
                 return
             for (rank, doc_id, _score), snippet in zip(serp.results, serp.snippets):
@@ -334,6 +334,12 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     kinds = validate_campaign_kinds(list(kinds))
     if not topics:
         raise CampaignError("at least one topic is required")
+    seen_ids: set[str] = set()
+    for topic in topics:
+        if topic.topic_id in seen_ids:
+            raise CampaignError(f"duplicate topic id {topic.topic_id!r}; each topic "
+                                "needs its own id, or one session would replace another")
+        seen_ids.add(topic.topic_id)
 
     def _run(topic: Topic, kind: UserKind, preset: list[str] | None) -> SessionLog:
         return run_session(topic, kind, index, qrels, policy=policy,

@@ -68,6 +68,22 @@ def oracle_sdcg_points(log, b, bq):
     return out
 
 
+def step_value(points, x):
+    """Last value at or before x (0 before the first point)."""
+    value = 0.0
+    for px, py in points:
+        if px > x:
+            break
+        value = py
+    return value
+
+
+def oracle_mean_curve(curves, grid):
+    """Mean of the step-interpolated curves at each grid point, by linear scans."""
+    n = len(curves)
+    return [(x, sum(step_value(points, x) for points in curves) / n, n) for x in grid]
+
+
 def fuzz_log(rng, max_interactions=100):
     rows = []
     queries = 0

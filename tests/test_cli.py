@@ -9,7 +9,8 @@ from searchsim.cli import main
 from searchsim.config import CampaignConfig
 from searchsim.fixtures import fixture_path
 from searchsim.metrics import aggregate_curves, information_gain_curve
-from searchsim.session import read_session_log
+from searchsim.agents import UserKind
+from searchsim.session import SessionLog, read_session_log, write_session_log
 
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
@@ -108,6 +109,34 @@ class TestCmdSimulate:
         for p in logs_dir.glob("*"):
             assert p.read_bytes() == snapshot[p.name], p.name
 
+    @pytest.mark.parametrize("option, value", [("stem", True), ("stopwords", True),
+                                               ("k1", 1.5), ("b", 0.5)])
+    def test_index_built_with_other_options_fails_validation(self, tmp_path, capsys,
+                                                             option, value):
+        config_path = write_config(tmp_path, users=("RND",))
+        assert main(["index", "--config", str(config_path)]) == 0
+        config = json.loads(config_path.read_text())
+        config["index"][option] = value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert option in err and "rebuild the index" in err
+        assert not (tmp_path / "out" / "logs").exists()
+        assert main(["index", "--config", str(config_path)]) == 0
+        assert main(["simulate", "--config", str(config_path)]) == 0
+
+    def test_version_1_index_fails_validation_with_rebuild_message(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        assert main(["index", "--config", str(config_path)]) == 0
+        index_path = tmp_path / "out" / "index.json"
+        payload = json.loads(index_path.read_text(encoding="utf-8"))
+        payload["version"] = 1
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        assert "rerun `searchsim index`" in capsys.readouterr().err
+
     def test_rnd_star_queries_match_fttc_in_written_logs(self, tmp_path):
         config_path = write_config(tmp_path, users=("FTTC", "RND_STAR"))
         run_pipeline(tmp_path, config_path)
@@ -116,6 +145,19 @@ class TestCmdSimulate:
             fttc = read_session_log(logs_dir / f"{topic}__FTTC.jsonl")
             star = read_session_log(logs_dir / f"{topic}__RND_STAR.jsonl")
             assert star.queries_issued == fttc.queries_issued
+
+    def test_duplicate_topic_ids_fail_validation(self, tmp_path, capsys):
+        topics = fixture_path("topics.txt").read_text(encoding="utf-8")
+        first = topics[:topics.index("</top>") + len("</top>")]
+        (tmp_path / "topics.txt").write_text(topics + "\n" + first + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path, users=("RND",))
+        config = json.loads(config_path.read_text())
+        config["collection"]["topics"] = str(tmp_path / "topics.txt")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["index", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        assert "duplicate topic id '801'" in capsys.readouterr().err
 
     def test_rnd_star_without_fttc_fails_validation(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND_STAR",))
@@ -234,6 +276,18 @@ class TestCmdEvaluate:
         assert main(["evaluate", "--logs", logs, "--scope", "inspected"]) == 1
         assert main(["evaluate", "--logs", logs, "--scope", "inspected",
                      "--qrels", str(fixture_path("qrels.txt"))]) == 0
+
+    def test_raw_csv_names_stay_inside_raw_dir(self, tmp_path):
+        logs = tmp_path / "run" / "logs"
+        logs.mkdir(parents=True)
+        log = SessionLog(topic_id="../escape", user_kind=UserKind.RND, seed=0)
+        write_session_log(log, logs)
+        assert main(["evaluate", "--logs", str(logs)]) == 0
+        eval_dir = tmp_path / "run" / "eval"
+        assert sorted(p.name for p in (eval_dir / "raw").iterdir()) == [
+            "___escape__RND.ig.csv", "___escape__RND.sdcg.csv"]
+        assert not list(eval_dir.glob("escape*"))
+        assert not list(tmp_path.rglob("escape*"))
 
     def test_unjudged_summary_written(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND",))

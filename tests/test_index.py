@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import gc
+import json
 import math
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -16,6 +21,7 @@ from searchsim.index import (
     index_to_bytes,
     load_index,
     make_snippet,
+    rank_documents,
     save_index,
     search,
     tokenize,
@@ -116,6 +122,19 @@ class TestBuildIndex:
         with pytest.raises(IndexBuildError):
             build_index(docs)
 
+    def test_freed_without_the_cycle_collector(self, toy_docs):
+        # a reference cycle would keep a used index (and its caches) alive
+        # until a full collection, beside the next index a process loads
+        gc.disable()
+        try:
+            index = build_index(toy_docs)
+            search(index, "apples market")
+            ref = weakref.ref(index)
+            del index
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_postings_sorted_by_ordinal(self, toy_docs):
         index = build_index(toy_docs)
         for plist in index.postings.values():
@@ -210,6 +229,65 @@ class TestSearch:
             for (_, _, score), (_, expected_score) in zip(got.results, expected):
                 assert score == pytest.approx(expected_score, abs=1e-9)
 
+    def test_oracle_equivalence_with_k1_b_built_into_index(self):
+        rng = random.Random(20261018)
+        for k1, b in ((0.5, 0.3), (2.0, 1.0), (1.2, 0.0)):
+            for _ in range(15):
+                docs, words = random_corpus(rng)
+                index = build_index(docs, k1=k1, b=b)
+                query = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 6)))
+                expected = brute_force_search(docs, query, k1=k1, b=b)
+                got = search(index, query, 1, len(docs))
+                assert [(r[1], r[2]) for r in got.results] == expected
+
+    def test_paging_interleaved_and_threaded_equals_one_page(self, fixture_collection):
+        docs, _, _ = fixture_collection
+        index = build_index(docs)
+        words = sorted({t for d in docs for t in tokenize(d.body)})
+        rng = random.Random(5)
+        # many distinct queries, so both threads race to fill the impacts of
+        # many terms while the other reads them
+        queries = list(dict.fromkeys(" ".join(rng.sample(words, rng.randrange(1, 4)))
+                                     for _ in range(150)))
+        fresh = build_index(docs)
+        expected = {q: search(fresh, q, 1, 30).results for q in queries}
+        got: dict[int, dict[str, list]] = {0: {}, 1: {}}
+        errors = []
+
+        def fetch(worker: int) -> None:
+            try:
+                for page in range(1, 6):
+                    for q in queries[worker::2] + queries[1 - worker::2]:
+                        got[worker].setdefault(q, []).extend(search(index, q, page, 6).results)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fetch, args=(w,)) for w in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        for worker in (0, 1):
+            assert got[worker] == expected
+
+    def test_pages_from_one_ranking_equal_pages_ranked_alone(self, fixture_collection):
+        docs, _, _ = fixture_collection
+        index = build_index(docs)
+        for query in ("wind permits", "beekeeping hives", "no such words"):
+            ranking = rank_documents(index, query, 4 * 3)
+            for page in range(1, 5):
+                alone = search(index, query, page, 3)
+                assert search(index, query, page, 3, ranking=ranking) == alone
+            assert [ordinal for ordinal, _ in ranking] == [
+                index.doc_ids.index(doc_id) for _, doc_id, _ in search(index, query, 1, 12).results]
+
     def test_determinism_bit_identical(self, fixture_collection):
         docs, _, _ = fixture_collection
         a = search(build_index(docs), "wind permits", 1, 10)
@@ -261,7 +339,7 @@ class TestMakeSnippet:
 class TestSerialization:
     def test_round_trip(self, fixture_collection, tmp_path):
         docs, _, _ = fixture_collection
-        index = build_index(docs, stopwords=ENGLISH_STOPWORDS, stem=True)
+        index = build_index(docs, stopwords=ENGLISH_STOPWORDS, stem=True, k1=0.9, b=0.4)
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(path)
@@ -269,6 +347,8 @@ class TestSerialization:
         assert loaded.postings == index.postings
         assert loaded.stopwords == index.stopwords
         assert loaded.stem == index.stem
+        assert (loaded.k1, loaded.b) == (0.9, 0.4)
+        assert (loaded.n_docs, loaded.avg_doc_len) == (index.n_docs, index.avg_doc_len)
         assert search(loaded, "beekeeping") == search(index, "beekeeping")
 
     def test_rebuild_is_byte_identical(self, fixture_collection):
@@ -280,3 +360,22 @@ class TestSerialization:
             index_from_bytes(b'{"format": "something-else"}')
         with pytest.raises(IndexFormatError):
             index_from_bytes(b"not json at all")
+
+    def test_postings_stored_flat(self, toy_docs):
+        payload = json.loads(index_to_bytes(build_index(toy_docs)))
+        assert payload["version"] == 2
+        assert payload["postings"]["apples"] == [0, 2, 1, 1]
+
+    def test_version_1_rejected_with_rebuild_message(self, toy_docs):
+        payload = json.loads(index_to_bytes(build_index(toy_docs)))
+        payload["version"] = 1
+        payload["postings"] = {t: [flat[i:i + 2] for i in range(0, len(flat), 2)]
+                               for t, flat in payload["postings"].items()}
+        with pytest.raises(IndexFormatError, match="rerun `searchsim index`"):
+            index_from_bytes(json.dumps(payload).encode("utf-8"))
+
+    def test_missing_field_rejected(self, toy_docs):
+        payload = json.loads(index_to_bytes(build_index(toy_docs)))
+        del payload["k1"]
+        with pytest.raises(IndexFormatError, match="malformed"):
+            index_from_bytes(json.dumps(payload).encode("utf-8"))

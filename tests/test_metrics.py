@@ -13,7 +13,6 @@ from searchsim.metrics import (
     aggregate_curves,
     information_gain_curve,
     sdcg_curve,
-    step_value,
     write_csv,
 )
 from searchsim.session import (
@@ -24,7 +23,14 @@ from searchsim.session import (
     SNIPPET_VIEWED,
 )
 
-from oracles import fuzz_log, make_log, oracle_gain_points, oracle_sdcg_points
+from oracles import (
+    fuzz_log,
+    make_log,
+    oracle_gain_points,
+    oracle_mean_curve,
+    oracle_sdcg_points,
+    step_value,
+)
 
 
 FIVE_STEP_LOG = make_log([
@@ -234,6 +240,25 @@ class TestAggregation:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             aggregate_curves([])
+
+    def test_equals_step_value_oracle_on_fuzzed_curves(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            curves = []
+            for _ in range(rng.randrange(1, 8)):
+                # few distinct x values, so curves repeat x and share grid points
+                xs = sorted(rng.choice([0.0, 1.0, 2.5, 3.0, 7.0, 10.0])
+                            for _ in range(rng.randrange(0, 10)))
+                curves.append([(x, rng.choice([0.0, 0.1, 1.0 / 3.0, 2.0, 7.25])) for x in xs])
+            grid = sorted({x for points in curves for x, _ in points})
+            assert aggregate_curves(curves) == oracle_mean_curve(curves, grid)
+            explicit = [rng.uniform(-1.0, 11.0) for _ in range(5)] + [2.5, 10.0]
+            assert aggregate_curves(curves, x_grid=explicit) == \
+                oracle_mean_curve(curves, explicit)
+
+    def test_decreasing_x_rejected(self):
+        with pytest.raises(ValueError):
+            aggregate_curves([[(2.0, 1.0), (1.0, 2.0)]])
 
     def test_step_value_before_first_point_is_zero(self):
         assert step_value([(2.0, 5.0)], 1.0) == 0.0

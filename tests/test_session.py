@@ -361,6 +361,12 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             run_campaign([], [UserKind.RND], index, qrels, policy=policy)
 
+    def test_duplicate_topic_ids_rejected(self, campaign_setup):
+        topics, index, qrels, policy = campaign_setup
+        twin = Topic(topic_id=topics[0].topic_id, title="another topic with the same id")
+        with pytest.raises(CampaignError, match="duplicate topic id"):
+            run_campaign([topics[0], twin], [UserKind.RND], index, qrels, policy=policy)
+
     def test_failed_fttc_degrades_rnd_star_without_crashing(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
         backend = ScriptedBackend({"Output only the numbered queries": "",
