@@ -14,9 +14,9 @@ topic = topics[0]
 print(f"topic {topic.topic_id}: {topic.title}\n")
 
 policy = SessionPolicy(max_queries=4, page_size=5,
-                       stop_rule=SnippetStopRule("fixed_depth", 5))
+                       stop_rule=SnippetStopRule("fixed_depth", 5), queries_per_session=4)
 log = run_session(topic, UserKind.CRF, index, qrels, policy=policy,
-                  backend=ScriptedBackend(), queries_per_session=4, rng_seed=0)
+                  backend=ScriptedBackend(), rng_seed=0)
 
 for it in log.interactions:
     detail = ", ".join(f"{k}={v!r}" for k, v in it.payload.items())

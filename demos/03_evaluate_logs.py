@@ -13,11 +13,10 @@ documents, topics, qrels = load_fixture_collection()
 index = build_index(documents)
 kinds = [UserKind.RND, UserKind.FTTC, UserKind.CRF]
 policy = SessionPolicy(max_queries=4, page_size=5,
-                       stop_rule=SnippetStopRule("fixed_depth", 5))
+                       stop_rule=SnippetStopRule("fixed_depth", 5), queries_per_session=4)
 
 logs = run_campaign(topics, kinds, index, qrels, policy=policy,
-                    backend=ScriptedBackend(), campaign_seed=0,
-                    queries_per_session=4)
+                    backend=ScriptedBackend(), campaign_seed=0)
 
 print(f"{'user':6s} {'mean final effect':>18s} {'mean final sDCG':>16s} {'unjudged':>9s}")
 for kind in kinds:

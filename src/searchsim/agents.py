@@ -484,9 +484,3 @@ def generate_followup_query(backend, topic: Topic, kind: UserKind,
         on_anomaly(f"follow-up query duplicates a past query: {query!r}")
     return query
 
-
-def queries_for_rnd_star(fttc_queries: list[str]) -> list[str]:
-    """RND_STAR reuses FTTC's generated query list for the same topic, in order."""
-    if not fttc_queries:
-        raise ValueError("RND_STAR needs the FTTC query list for this topic")
-    return list(fttc_queries)

@@ -115,8 +115,9 @@ def cmd_simulate(args) -> int:
         backend = config.make_backend()
         logs = run_campaign(topics, config.ordered_users(), index, qrels,
                             policy=config.policy, cost_model=config.cost_model,
-                            backend=backend, campaign_seed=config.campaign_seed,
-                            workers=args.workers, **config.session_kwargs())
+                            backend=backend, templates=config.make_templates(),
+                            persona=config.persona, campaign_seed=config.campaign_seed,
+                            workers=args.workers)
         config_hash = config.semantic_hash()
         logs_dir = config.output_dir / "logs"
         logs_dir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +192,7 @@ def cmd_evaluate(args) -> int:
             by_kind.setdefault(log.user_kind.value, []).append((ig, sd))
             unjudged_rows.append((log.user_kind.value, log.topic_id,
                                   ig.unjudged_relevant_count))
-        files = []
+        entries = []
         for kind in sorted(by_kind):
             igs = [pair[0] for pair in by_kind[kind]]
             sds = [pair[1] for pair in by_kind[kind]]
@@ -199,7 +200,7 @@ def cmd_evaluate(args) -> int:
                 rows = aggregate_curves(curves)
                 filename = f"{name}.{metric}.{kind}.csv"
                 write_csv(out_dir / filename, rows, ("x", "mean_y", "n"))
-                files.append(filename)
+                entries.append({"kind": kind, "metric": metric, "file": filename})
         unjudged_rows.sort()
         write_csv(out_dir / "unjudged_summary.csv", unjudged_rows,
                   ("user_kind", "topic_id", "unjudged_relevant_count"))
@@ -210,13 +211,13 @@ def cmd_evaluate(args) -> int:
             "scope": args.scope,
             "sdcg_b": args.sdcg_b,
             "sdcg_bq": args.sdcg_bq,
-            "files": files + ["unjudged_summary.csv"],
+            "curves": entries,
         }
         (out_dir / "eval_manifest.json").write_text(
             json.dumps(eval_manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     except Exception as exc:
         return _fail(f"evaluation failed: {exc}", EXIT_RUNTIME)
-    print(f"wrote {len(files) + 1} curve files to {out_dir}")
+    print(f"wrote {len(entries) + 1} curve files to {out_dir}")
     return EXIT_OK
 
 
@@ -227,17 +228,11 @@ def cmd_report(args) -> int:
         return _fail(f"no evaluation manifest in {out_dir}", EXIT_VALIDATION)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     rows = []
-    for filename in manifest.get("files", []):
-        if filename == "unjudged_summary.csv" or not filename.endswith(".csv"):
-            continue
-        parts = filename[:-4].split(".")
-        if len(parts) != 3:
-            continue
-        _name, metric, kind = parts
-        lines = (out_dir / filename).read_text(encoding="utf-8").strip().splitlines()
-        final = lines[-1].split(",") if len(lines) > 1 else None
-        if final:
-            rows.append((kind, metric, float(final[0]), float(final[1])))
+    for curve in manifest.get("curves", []):
+        lines = (out_dir / curve["file"]).read_text(encoding="utf-8").strip().splitlines()
+        if len(lines) > 1:
+            final = lines[-1].split(",")
+            rows.append((curve["kind"], curve["metric"], float(final[0]), float(final[1])))
     if not rows:
         return _fail(f"no curve files listed in {manifest_path}", EXIT_VALIDATION)
     print(f"{'user':10} {'metric':6} {'final_x':>12} {'final_mean':>12}")

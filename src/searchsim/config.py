@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agents import Persona, PromptTemplates, UserKind
@@ -55,10 +55,6 @@ class CampaignConfig:
     users: list[UserKind] = field(default_factory=lambda: [UserKind.FTTC])
     policy: SessionPolicy = field(default_factory=SessionPolicy)
     cost_model: CostModel = field(default_factory=CostModel)
-    queries_per_session: int = 10
-    snippet_max_chars: int = 160
-    p_random: float = 0.5
-    max_summary_words: int = 200
     # llm backend
     backend_kind: str = BACKEND_SCRIPTED
     reply_table_path: Path | None = None
@@ -99,7 +95,6 @@ class CampaignConfig:
                 raise ConfigError(f"config is missing collection.{key}")
         index_opts = raw.get("index", {})
         session_opts = raw.get("session", {})
-        stop = session_opts.get("stop_rule", {})
         costs = raw.get("costs", {})
         llm_opts = raw.get("llm", {})
         persona_opts = raw.get("persona", {})
@@ -108,13 +103,14 @@ class CampaignConfig:
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
         try:
-            policy = SessionPolicy(
-                max_queries=session_opts.get("max_queries", 10),
-                page_size=session_opts.get("page_size", 10),
-                max_pages_per_query=session_opts.get("max_pages_per_query", 1),
-                stop_rule=SnippetStopRule(kind=stop.get("kind", "fixed_depth"),
-                                          value=stop.get("value", 10)),
-            )
+            # only the keys the file sets; SessionPolicy holds the defaults
+            policy_opts = {f.name: session_opts[f.name] for f in fields(SessionPolicy)
+                           if f.name in session_opts}
+            if "p_random" in policy_opts:
+                policy_opts["p_random"] = float(policy_opts["p_random"])
+            if "stop_rule" in policy_opts:
+                policy_opts["stop_rule"] = SnippetStopRule(**policy_opts["stop_rule"])
+            policy = SessionPolicy(**policy_opts)
             cost_model = CostModel(
                 query_cost=float(costs.get("query", 10.0)),
                 snippet_cost=float(costs.get("snippet", 3.0)),
@@ -126,7 +122,7 @@ class CampaignConfig:
                 instruction_preamble=persona_opts.get("instruction_preamble",
                                                       Persona().instruction_preamble),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         output = raw.get("output_dir", "out")
         return cls(
@@ -143,10 +139,6 @@ class CampaignConfig:
             users=users,
             policy=policy,
             cost_model=cost_model,
-            queries_per_session=int(session_opts.get("queries_per_session", 10)),
-            snippet_max_chars=int(session_opts.get("snippet_max_chars", 160)),
-            p_random=float(session_opts.get("p_random", 0.5)),
-            max_summary_words=int(session_opts.get("max_summary_words", 200)),
             backend_kind=llm_opts.get("backend", BACKEND_SCRIPTED),
             reply_table_path=_path(llm_opts.get("reply_table")),
             endpoint=llm_opts.get("endpoint"),
@@ -238,16 +230,6 @@ class CampaignConfig:
             return PromptTemplates.load_dir(self.templates_dir)
         return PromptTemplates.default()
 
-    def session_kwargs(self) -> dict:
-        return {
-            "templates": self.make_templates(),
-            "persona": self.persona,
-            "queries_per_session": self.queries_per_session,
-            "p_random": self.p_random,
-            "snippet_max_chars": self.snippet_max_chars,
-            "max_summary_words": self.max_summary_words,
-        }
-
     def ordered_users(self) -> list[UserKind]:
         return validate_campaign_kinds(list(self.users))
 
@@ -277,10 +259,10 @@ class CampaignConfig:
                 "page_size": self.policy.page_size,
                 "max_pages_per_query": self.policy.max_pages_per_query,
                 "stop_rule": [self.policy.stop_rule.kind, self.policy.stop_rule.value],
-                "queries_per_session": self.queries_per_session,
-                "snippet_max_chars": self.snippet_max_chars,
-                "p_random": self.p_random,
-                "max_summary_words": self.max_summary_words,
+                "queries_per_session": self.policy.queries_per_session,
+                "snippet_max_chars": self.policy.snippet_max_chars,
+                "p_random": self.policy.p_random,
+                "max_summary_words": self.policy.max_summary_words,
             },
             "costs": [self.cost_model.query_cost, self.cost_model.snippet_cost,
                       self.cost_model.document_cost, self.cost_model.judgment_cost],

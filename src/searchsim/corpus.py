@@ -98,9 +98,6 @@ class QrelSet:
     def grade(self, topic_id: str, doc_id: str) -> int | None:
         return self.grades.get((topic_id, doc_id))
 
-    def for_topic(self, topic_id: str) -> dict[str, int]:
-        return {d: g for (t, d), g in self.grades.items() if t == topic_id}
-
     def __len__(self) -> int:
         return len(self.grades)
 
@@ -297,30 +294,3 @@ def parse_qrels(data: bytes, *, strict: bool = False,
         qrels.grades[key] = grade
     return qrels
 
-
-# --- canonical document serialization ----------------------------------------
-
-def dumps_canonical(documents: list[Document]) -> bytes:
-    """Serialize documents to the canonical line-delimited form."""
-    lines = [
-        json.dumps(
-            {"doc_id": d.doc_id, "title": d.title, "body": d.body, "source": d.source},
-            sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-        )
-        for d in documents
-    ]
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-
-def loads_canonical(data: bytes) -> list[Document]:
-    docs = []
-    for lineno, line in enumerate(_decode(data).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            docs.append(Document(doc_id=record["doc_id"], title=record["title"],
-                                 body=record["body"], source=record["source"]))
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad canonical record: {exc}", line=lineno) from exc
-    return docs

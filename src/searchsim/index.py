@@ -25,6 +25,7 @@ ENGLISH_STOPWORDS = frozenset(
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+MIN_SNIPPET_CHARS = 16
 
 
 class IndexBuildError(ValueError):
@@ -232,8 +233,8 @@ def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:
 
     The result is at most max_chars plus one ellipsis character.
     """
-    if max_chars < 16:
-        raise ValueError("max_chars must be >= 16")
+    if max_chars < MIN_SNIPPET_CHARS:
+        raise ValueError(f"max_chars must be >= {MIN_SNIPPET_CHARS}")
     body = document.body
     if len(body) <= max_chars:
         return body.strip()

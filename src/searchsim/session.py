@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,7 @@ from pathlib import Path
 from .agents import (
     FEEDBACK_KINDS,
     LLM_KINDS,
+    SUMMARY_SIDES,
     KnowledgeState,
     Persona,
     PromptTemplates,
@@ -27,11 +29,10 @@ from .agents import (
     generate_initial_queries,
     generate_query_naive,
     generate_followup_query,
-    queries_for_rnd_star,
     update_knowledge_state,
 )
 from .corpus import QrelSet, Topic
-from .index import InvertedIndex, rank_documents, search
+from .index import MIN_SNIPPET_CHARS, InvertedIndex, rank_documents, search
 from .llm import BackendError
 
 # Interaction kinds
@@ -88,6 +89,11 @@ class CostModel:
                 raise ValueError(f"{name} must be >= 0")
 
 
+def _check_int(name: str, value, minimum: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SnippetStopRule:
     """fixed_depth: view at most ``value`` snippets per query.
@@ -103,27 +109,39 @@ class SnippetStopRule:
     def __post_init__(self):
         if self.kind not in (FIXED_DEPTH, CONSECUTIVE_IRRELEVANT):
             raise ValueError(f"unknown stop rule {self.kind!r}")
-        if self.value < 1:
-            raise ValueError("stop rule value must be >= 1")
+        _check_int("stop rule value", self.value)
 
 
 @dataclass(frozen=True)
 class SessionPolicy:
-    """Defaults: 10 queries, one 10-result page per query, scan to the bottom."""
+    """The settings every session of a campaign shares, checked once when built.
+
+    Defaults: 10 queries, one 10-result page per query, a fixed depth of 10
+    (or of the reachable results, if fewer), 10 pre-generated queries,
+    Bernoulli(0.5) random users, 160-character snippets, 200-word summaries.
+    """
 
     max_queries: int = 10
     page_size: int = 10
     max_pages_per_query: int = 1
-    stop_rule: SnippetStopRule | None = None  # None: fixed depth = reachable results
+    stop_rule: SnippetStopRule | None = None  # None: fixed depth min(10, reachable results)
+    queries_per_session: int = 10  # initial queries an LLM user asks for
+    p_random: float = 0.5  # relevance probability of RND and RND_STAR
+    snippet_max_chars: int = 160
+    max_summary_words: int = 200
 
     def __post_init__(self):
-        if self.max_queries < 1 or self.page_size < 1 or self.max_pages_per_query < 1:
-            raise ValueError("policy counts must be >= 1")
+        for name in ("max_queries", "page_size", "max_pages_per_query",
+                     "queries_per_session", "max_summary_words"):
+            _check_int(name, getattr(self, name))
+        if (isinstance(self.p_random, bool) or not isinstance(self.p_random, (int, float))
+                or not 0 <= self.p_random <= 1):
+            raise ValueError(f"p_random must be a number in [0, 1], got {self.p_random!r}")
+        _check_int("snippet_max_chars", self.snippet_max_chars, MIN_SNIPPET_CHARS)
+        reachable = self.page_size * self.max_pages_per_query
         if self.stop_rule is None:
-            object.__setattr__(self, "stop_rule", SnippetStopRule(
-                FIXED_DEPTH, self.page_size * self.max_pages_per_query))
-        if (self.stop_rule.kind == FIXED_DEPTH
-                and self.stop_rule.value > self.page_size * self.max_pages_per_query):
+            object.__setattr__(self, "stop_rule", SnippetStopRule(FIXED_DEPTH, min(10, reachable)))
+        if self.stop_rule.kind == FIXED_DEPTH and self.stop_rule.value > reachable:
             raise ValueError("fixed depth exceeds the reachable result count")
 
 
@@ -159,11 +177,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                 rng_seed: int = 0,
                 templates: PromptTemplates | None = None,
                 persona: Persona | None = None,
-                queries_per_session: int = 10,
-                preset_queries: list[str] | None = None,
-                p_random: float = 0.5,
-                snippet_max_chars: int = 160,
-                max_summary_words: int = 200) -> SessionLog:
+                preset_queries: list[str] | None = None) -> SessionLog:
     """Run one simulated session and return its interaction log.
 
     The snippet-level open/skip decision uses the same relevance mechanism as
@@ -196,7 +210,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             return decide_relevance_llm(backend, topic, kind, state, text,
                                         templates=templates, persona=persona,
                                         on_anomaly=_anomaly)
-        return decide_relevance_random(rng, p_random)
+        return decide_relevance_random(rng, policy.p_random)
 
     def _end(reason: str) -> SessionLog:
         _log(SESSION_ENDED, 0.0, reason=reason)
@@ -210,7 +224,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             pre = list(preset_queries)
         else:
             pre = generate_initial_queries(backend, topic, kind,
-                                           n_queries=queries_per_session,
+                                           n_queries=policy.queries_per_session,
                                            templates=templates, persona=persona,
                                            on_anomaly=_anomaly)
     except BackendError as exc:
@@ -240,7 +254,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
         ranking = rank_documents(index, query, policy.max_pages_per_query * policy.page_size)
         for page in range(1, policy.max_pages_per_query + 1):
             serp = search(index, query, page, policy.page_size,
-                          snippet_max_chars=snippet_max_chars, ranking=ranking)
+                          snippet_max_chars=policy.snippet_max_chars, ranking=ranking)
             if not serp.results:
                 return
             for (rank, doc_id, _score), snippet in zip(serp.results, serp.snippets):
@@ -262,11 +276,15 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                     _log(JUDGMENT_MADE, cost.judgment_cost, doc_id=doc_id,
                          relevant=relevant, grade=grade)
                     judged_docs.add(doc_id)
-                    if kind in LLM_KINDS:
-                        update_knowledge_state(backend, state, document, relevant,
-                                               templates=templates, persona=persona,
-                                               max_words=max_summary_words,
-                                               on_anomaly=_anomaly)
+                    if kind in FEEDBACK_KINDS:
+                        # summarize only a side that the kind's prompts read
+                        if SUMMARY_SIDES[kind][0 if relevant else 1]:
+                            update_knowledge_state(backend, state, document, relevant,
+                                                   templates=templates, persona=persona,
+                                                   max_words=policy.max_summary_words,
+                                                   on_anomaly=_anomaly)
+                        else:
+                            state.record(doc_id, document.full_text(), relevant)
                     judged_relevant = relevant
                 consecutive = 0 if judged_relevant else consecutive + 1
             if len(serp.results) < policy.page_size:
@@ -317,14 +335,59 @@ def validate_campaign_kinds(kinds: list[UserKind]) -> list[UserKind]:
     return ordered
 
 
+def _file_stem(topic_id: str) -> str:
+    return "".join(c if c.isalnum() else "_" for c in topic_id)
+
+
+def _check_topic_ids(topics: list[Topic]) -> None:
+    """Each topic needs an id of its own in the log file names."""
+    owners: dict[str, str] = {}
+    for topic in topics:
+        stem = _file_stem(topic.topic_id)
+        if not stem:
+            raise CampaignError("a topic has an empty id; give every topic a <num>")
+        if stem in owners:
+            if owners[stem] == topic.topic_id:
+                raise CampaignError(f"duplicate topic id {topic.topic_id!r}; each topic "
+                                    "needs its own id, or one session would replace another")
+            raise CampaignError(f"topic ids {owners[stem]!r} and {topic.topic_id!r} map to "
+                                f"the same log file names ({stem}__<kind>.jsonl)")
+        owners[stem] = topic.topic_id
+
+
+def _run_wave(run, jobs: list[tuple], workers: int) -> list[SessionLog]:
+    """``run(*job)`` for every job, in job order: inline for one worker, else pooled.
+
+    On the pool, a failed session stops every session that has not started yet;
+    the first failure in job order is raised.
+    """
+    if workers <= 1:
+        return [run(*job) for job in jobs]
+    failed = threading.Event()
+
+    def _guarded(job: tuple) -> SessionLog | None:
+        if failed.is_set():
+            return None
+        try:
+            return run(*job)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_guarded, job) for job in jobs]
+    return [future.result() for future in futures]
+
+
 def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedIndex,
                  qrels: QrelSet, *,
                  policy: SessionPolicy | None = None,
                  cost_model: CostModel | None = None,
                  backend=None,
+                 templates: PromptTemplates | None = None,
+                 persona: Persona | None = None,
                  campaign_seed: int = 0,
-                 workers: int = 1,
-                 **session_kwargs) -> list[SessionLog]:
+                 workers: int = 1) -> list[SessionLog]:
     """Run every (topic, kind) session; topics outer, kinds inner.
 
     Per-session seeds derive from (campaign_seed, topic_id, kind). RND_STAR
@@ -334,48 +397,25 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     kinds = validate_campaign_kinds(list(kinds))
     if not topics:
         raise CampaignError("at least one topic is required")
-    seen_ids: set[str] = set()
-    for topic in topics:
-        if topic.topic_id in seen_ids:
-            raise CampaignError(f"duplicate topic id {topic.topic_id!r}; each topic "
-                                "needs its own id, or one session would replace another")
-        seen_ids.add(topic.topic_id)
+    _check_topic_ids(topics)
 
-    def _run(topic: Topic, kind: UserKind, preset: list[str] | None) -> SessionLog:
+    def _run(topic: Topic, kind: UserKind, preset: list[str] | None = None) -> SessionLog:
         return run_session(topic, kind, index, qrels, policy=policy,
                            cost_model=cost_model, backend=backend,
                            rng_seed=derive_session_seed(campaign_seed, topic.topic_id, kind),
-                           preset_queries=preset, **session_kwargs)
+                           templates=templates, persona=persona, preset_queries=preset)
 
-    results: dict[tuple[str, UserKind], SessionLog] = {}
     first_wave = [(t, k) for t in topics for k in kinds if k is not UserKind.RND_STAR]
-    if workers > 1 and len(first_wave) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run, t, k, None): (t.topic_id, k) for t, k in first_wave}
-            for future, key in futures.items():
-                results[key] = future.result()
-    else:
-        for t, k in first_wave:
-            results[(t.topic_id, k)] = _run(t, k, None)
-
+    results = {(t.topic_id, k): log
+               for (t, k), log in zip(first_wave, _run_wave(_run, first_wave, workers))}
     if UserKind.RND_STAR in kinds:
-        second_wave = [(t, UserKind.RND_STAR) for t in topics]
-        presets: dict[str, list[str]] = {}
-        for t in topics:
-            generated = results[(t.topic_id, UserKind.FTTC)].initial_queries
-            # a degraded FTTC run leaves nothing to replay; RND_STAR then
-            # exhausts immediately instead of failing the campaign
-            presets[t.topic_id] = queries_for_rnd_star(generated) if generated else []
-        if workers > 1 and len(second_wave) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_run, t, k, presets[t.topic_id]): (t.topic_id, k)
-                           for t, k in second_wave}
-                for future, key in futures.items():
-                    results[key] = future.result()
-        else:
-            for t, k in second_wave:
-                results[(t.topic_id, k)] = _run(t, k, presets[t.topic_id])
-
+        # a degraded FTTC run leaves nothing to replay; RND_STAR then
+        # exhausts immediately instead of failing the campaign
+        second_wave = [(t, UserKind.RND_STAR,
+                        list(results[(t.topic_id, UserKind.FTTC)].initial_queries))
+                       for t in topics]
+        for t, log in zip(topics, _run_wave(_run, second_wave, workers)):
+            results[(t.topic_id, UserKind.RND_STAR)] = log
     return [results[(t.topic_id, k)] for t in topics for k in kinds]
 
 
@@ -432,8 +472,7 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
 
 
 def session_log_filename(log: SessionLog) -> str:
-    safe_topic = "".join(c if c.isalnum() else "_" for c in log.topic_id)
-    return f"{safe_topic}__{log.user_kind.value}.jsonl"
+    return f"{_file_stem(log.topic_id)}__{log.user_kind.value}.jsonl"
 
 
 def write_session_log(log: SessionLog, directory: str | Path) -> Path:

@@ -128,15 +128,15 @@ def test_criterion_03_monotonicity():
 
 class TestCriterion04PromptMatrix:
     POLICY = SessionPolicy(max_queries=3, page_size=5,
-                           stop_rule=SnippetStopRule("fixed_depth", 5))
+                           stop_rule=SnippetStopRule("fixed_depth", 5),
+                           queries_per_session=3, snippet_max_chars=100)
 
     def run_captured(self, collection, kind, topic_index=0):
         docs, topics, qrels = collection
         index = build_index(docs)
         backend = CapturingBackend(OpenAllOracle(docs, topics, qrels))
         log = run_session(topics[topic_index], kind, index, qrels,
-                          policy=self.POLICY, backend=backend,
-                          queries_per_session=3, snippet_max_chars=100)
+                          policy=self.POLICY, backend=backend)
         return log, backend, topics[topic_index]
 
     def test_matrix_over_all_kinds(self, collection):
@@ -268,10 +268,11 @@ def test_criterion_07_rnd_star_reuses_fttc_queries(collection):
     docs, topics, qrels = collection
     index = build_index(docs)
     policy = SessionPolicy(max_queries=3, page_size=5,
-                           stop_rule=SnippetStopRule("fixed_depth", 5))
+                           stop_rule=SnippetStopRule("fixed_depth", 5),
+                           queries_per_session=3)
     logs = run_campaign(topics, [UserKind.FTTC, UserKind.RND_STAR], index, qrels,
                         policy=policy, backend=ScriptedBackend(),
-                        campaign_seed=0, queries_per_session=3)
+                        campaign_seed=0)
     by_key = {(log.topic_id, log.user_kind): log for log in logs}
     queries_equal = all(
         by_key[(t.topic_id, UserKind.RND_STAR)].queries_issued
@@ -327,7 +328,8 @@ def test_criterion_09_feedback_user_beats_random_mean(collection):
     docs, topics, qrels = collection
     index = build_index(docs)
     policy = SessionPolicy(max_queries=5, page_size=5,
-                           stop_rule=SnippetStopRule("fixed_depth", 5))
+                           stop_rule=SnippetStopRule("fixed_depth", 5),
+                           queries_per_session=5, snippet_max_chars=100)
     oracle = OpenAllOracle(docs, topics, qrels)
 
     def final_effect(log):
@@ -335,8 +337,7 @@ def test_criterion_09_feedback_user_beats_random_mean(collection):
 
     feedback_total = sum(
         final_effect(run_session(topic, UserKind.CRF, index, qrels, policy=policy,
-                                 backend=oracle, queries_per_session=5,
-                                 snippet_max_chars=100))
+                                 backend=oracle))
         for topic in topics)
 
     random_totals = []
@@ -362,8 +363,9 @@ def test_criterion_10_unjudged_accounting(collection):
         "Output only the summary": "workshops on permits",
     })
     log = run_session(topics[0], UserKind.FTTC, index, qrels,
-                      policy=SessionPolicy(max_queries=1, page_size=5),
-                      backend=backend, queries_per_session=1)
+                      policy=SessionPolicy(max_queries=1, page_size=5,
+                                           queries_per_session=1),
+                      backend=backend)
     judgments = [it for it in log.interactions if it.kind == JUDGMENT_MADE]
     curve = information_gain_curve(log)
     report(10, "relevant judgment of an unjudged document adds 0 effect and "

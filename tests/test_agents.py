@@ -22,7 +22,6 @@ from searchsim.agents import (
     generate_query_naive,
     parse_query_list,
     parse_yes_no,
-    queries_for_rnd_star,
     update_knowledge_state,
 )
 from searchsim.corpus import Document, Topic
@@ -365,21 +364,6 @@ class TestFollowupQueries:
         generate_followup_query(backend, toy_topic, UserKind.CRF,
                                 self.make_state(), ["q"])
         assert backend.requests[0].temperature == 1.0
-
-
-class TestRndStar:
-    def test_reuses_fttc_list_in_order(self):
-        assert queries_for_rnd_star(["q1", "q2"]) == ["q1", "q2"]
-
-    def test_returns_a_copy(self):
-        original = ["q1"]
-        copy = queries_for_rnd_star(original)
-        copy.append("q2")
-        assert original == ["q1"]
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            queries_for_rnd_star([])
 
 
 class TestTemplates:

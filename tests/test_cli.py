@@ -12,6 +12,8 @@ from searchsim.metrics import aggregate_curves, information_gain_curve
 from searchsim.agents import UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
 
+from test_config import BAD_SESSION_VALUES
+
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
                  reply_table=None, anomaly_threshold=0, out="out",
@@ -158,6 +160,17 @@ class TestCmdSimulate:
         capsys.readouterr()
         assert main(["simulate", "--config", str(config_path)]) == 1
         assert "duplicate topic id '801'" in capsys.readouterr().err
+
+    def test_bad_session_values_fail_validation_at_load(self, tmp_path, capsys):
+        for key, value in BAD_SESSION_VALUES:
+            config_path = write_config(tmp_path)
+            config = json.loads(config_path.read_text())
+            config["session"][key] = value
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            for command in ("index", "simulate"):
+                capsys.readouterr()
+                assert main([command, "--config", str(config_path)]) == 1, (key, value)
+                assert key in capsys.readouterr().err
 
     def test_rnd_star_without_fttc_fails_validation(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND_STAR",))
@@ -307,6 +320,17 @@ class TestCmdReport:
         out = capsys.readouterr().out
         assert "RND" in out and "FTTC" in out
         assert "ig" in out and "sdcg" in out
+
+    def test_report_with_a_dotted_name(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        assert main(["evaluate", "--logs", str(tmp_path / "out" / "logs"),
+                     "--name", "run.2"]) == 0
+        assert (tmp_path / "out" / "eval" / "run.2.ig.RND.csv").is_file()
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out" / "eval")]) == 0
+        out = capsys.readouterr().out
+        assert "RND" in out and "ig" in out and "sdcg" in out
 
     def test_report_without_manifest(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1

@@ -8,6 +8,18 @@ from searchsim.config import CampaignConfig, ConfigError
 from searchsim.fixtures import fixture_path
 
 
+# (session key, value) pairs that the loader must reject, naming the key
+BAD_SESSION_VALUES = [
+    ("max_queries", 0),
+    ("max_queries", "5"),
+    ("max_queries", 2.5),
+    ("p_random", 1.5),
+    ("snippet_max_chars", 10),
+    ("queries_per_session", 0),
+    ("max_summary_words", 0),
+]
+
+
 def write_raw(tmp_path, raw):
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -52,10 +64,20 @@ class TestFromFile:
             CampaignConfig.from_file(path)
 
     def test_invalid_policy_value(self, tmp_path):
+        for key, value in BAD_SESSION_VALUES:
+            raw = minimal_raw()
+            raw["session"] = {key: value}
+            with pytest.raises(ConfigError, match=key):
+                CampaignConfig.from_file(write_raw(tmp_path, raw))
+
+    def test_default_stop_rule_reaches_at_most_the_results(self, tmp_path):
         raw = minimal_raw()
-        raw["session"] = {"max_queries": 0}
-        with pytest.raises(ConfigError):
-            CampaignConfig.from_file(write_raw(tmp_path, raw))
+        raw["session"] = {"page_size": 5}
+        config = CampaignConfig.from_file(write_raw(tmp_path, raw))
+        assert (config.policy.stop_rule.kind, config.policy.stop_rule.value) == ("fixed_depth", 5)
+        raw["session"] = {"page_size": 5, "max_pages_per_query": 3}
+        config = CampaignConfig.from_file(write_raw(tmp_path, raw))
+        assert config.policy.stop_rule.value == 10
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         corpus = tmp_path / "c.trectext"
@@ -87,3 +109,8 @@ class TestValidate:
         config = CampaignConfig.from_file(fixture_path("campaign.json"))
         assert config.validate() == []
         assert len(config.users) == 8
+
+    def test_fixture_campaign_hash_is_pinned(self):
+        config = CampaignConfig.from_file(fixture_path("campaign.json"))
+        assert config.semantic_hash() == (
+            "76aa86be6387a16481d1d7bc9e0ca2dc1a3dbec51c1e6ee976058ba4de99dade")

@@ -8,9 +8,6 @@ from searchsim.corpus import (
     Document,
     ParseError,
     ParseReport,
-    QrelSet,
-    dumps_canonical,
-    loads_canonical,
     parse_jsonl_corpus,
     parse_qrels,
     parse_topics,
@@ -205,20 +202,6 @@ class TestParseQrels:
             assert len(qrels) == len(entries)
 
 
-class TestCanonicalRoundTrip:
-    def test_round_trip_identity(self, fixture_collection):
-        docs, _, _ = fixture_collection
-        assert loads_canonical(dumps_canonical(docs)) == docs
-
-    def test_round_trip_empty(self):
-        assert loads_canonical(dumps_canonical([])) == []
-
-    def test_round_trip_preserves_none_title_and_source(self):
-        docs = [Document(doc_id="x", body="", source="synthetic"),
-                Document(doc_id="y", title="t", body="b", source="jsonl")]
-        assert loads_canonical(dumps_canonical(docs)) == docs
-
-
 class TestDocumentInvariants:
     def test_empty_doc_id_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +210,3 @@ class TestDocumentInvariants:
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
             Document(doc_id="a", body="x", source="warc")
-
-    def test_qrelset_for_topic(self):
-        qrels = QrelSet({("1", "a"): 2, ("1", "b"): 0, ("2", "a"): 1})
-        assert qrels.for_topic("1") == {"a": 2, "b": 0}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,7 @@ from searchsim.session import (
     write_campaign_manifest,
     write_session_log,
 )
+from searchsim.testing import CapturingBackend
 
 # Reply-table keys anchored on fixed phrases of the default templates.
 ANSWER_YES = {"Would this text be useful": "Yes",
@@ -76,9 +79,10 @@ class TestRunSessionTraces:
         _, index, topic, qrels = twin_setup
         backend = backend_with(["twin"], ANSWER_YES)
         policy = SessionPolicy(max_queries=1, page_size=2,
-                               stop_rule=SnippetStopRule("fixed_depth", 2))
+                               stop_rule=SnippetStopRule("fixed_depth", 2),
+                               queries_per_session=1)
         log = run_session(topic, UserKind.FTTC, index, qrels, policy=policy,
-                          backend=backend, queries_per_session=1)
+                          backend=backend)
         assert kinds_of(log) == [
             QUERY_ISSUED,
             SNIPPET_VIEWED, DOCUMENT_VIEWED, JUDGMENT_MADE,
@@ -92,21 +96,22 @@ class TestRunSessionTraces:
     def test_rerun_is_byte_identical(self, twin_setup):
         _, index, topic, qrels = twin_setup
         policy = SessionPolicy(max_queries=2, page_size=2,
-                               stop_rule=SnippetStopRule("fixed_depth", 2))
+                               stop_rule=SnippetStopRule("fixed_depth", 2),
+                               queries_per_session=2)
 
         def once():
             return run_session(topic, UserKind.CRF, index, qrels, policy=policy,
-                               backend=ScriptedBackend(), rng_seed=7,
-                               queries_per_session=2)
+                               backend=ScriptedBackend(), rng_seed=7)
         assert session_log_to_jsonl(once()) == session_log_to_jsonl(once())
 
     def test_judged_docs_skipped_without_cost_in_later_serps(self, twin_setup):
         _, index, topic, qrels = twin_setup
         backend = backend_with(["twin", "twin text"], ANSWER_YES)
         policy = SessionPolicy(max_queries=2, page_size=2,
-                               stop_rule=SnippetStopRule("fixed_depth", 2))
+                               stop_rule=SnippetStopRule("fixed_depth", 2),
+                               queries_per_session=2)
         log = run_session(topic, UserKind.FTTC, index, qrels, policy=policy,
-                          backend=backend, queries_per_session=2)
+                          backend=backend)
         snippet_views = [it for it in log.interactions if it.kind == SNIPPET_VIEWED]
         assert len(snippet_views) == 2  # nothing re-viewed under the second query
         assert len([it for it in log.interactions if it.kind == QUERY_ISSUED]) == 2
@@ -116,10 +121,11 @@ class TestRunSessionTraces:
         index = build_index(docs)
         topic = Topic(topic_id="2", title="shared term")
         policy = SessionPolicy(max_queries=1, page_size=6,
-                               stop_rule=SnippetStopRule(CONSECUTIVE_IRRELEVANT, 2))
+                               stop_rule=SnippetStopRule(CONSECUTIVE_IRRELEVANT, 2),
+                               queries_per_session=1)
         backend = backend_with(["shared"], ANSWER_NO)
         log = run_session(topic, UserKind.FTTC, index, QrelSet(), policy=policy,
-                          backend=backend, queries_per_session=1)
+                          backend=backend)
         assert len([it for it in log.interactions if it.kind == SNIPPET_VIEWED]) == 2
 
     def test_unjudged_document_gets_none_grade(self):
@@ -131,8 +137,9 @@ class TestRunSessionTraces:
         backend = backend_with(["apple"], ANSWER_YES)
         log = run_session(topic, UserKind.FTTC, index, qrels,
                           policy=SessionPolicy(max_queries=1, page_size=2,
-                                               stop_rule=SnippetStopRule("fixed_depth", 2)),
-                          backend=backend, queries_per_session=1)
+                                               stop_rule=SnippetStopRule("fixed_depth", 2),
+                                               queries_per_session=1),
+                          backend=backend)
         grades = {it.payload["doc_id"]: it.payload["grade"]
                   for it in log.interactions if it.kind == JUDGMENT_MADE}
         assert grades["known"] == 1
@@ -151,8 +158,9 @@ class TestRunSessionTraces:
                 return self.inner.complete(request)
 
         log = run_session(topic, UserKind.FTTC, index, qrels,
-                          policy=SessionPolicy(max_queries=1, page_size=2),
-                          backend=FailsOnJudge(), queries_per_session=1)
+                          policy=SessionPolicy(max_queries=1, page_size=2,
+                                               queries_per_session=1),
+                          backend=FailsOnJudge())
         assert log.end_reason == END_BACKEND_FAILURE
         assert any(it.kind == ANOMALY for it in log.interactions)
         assert kinds_of(log)[-1] == SESSION_ENDED
@@ -161,8 +169,9 @@ class TestRunSessionTraces:
         _, index, topic, qrels = twin_setup
         backend = backend_with(["nothing matches this"], ANSWER_YES)
         log = run_session(topic, UserKind.FTTC, index, qrels,
-                          policy=SessionPolicy(max_queries=5, page_size=2),
-                          backend=backend, queries_per_session=1)
+                          policy=SessionPolicy(max_queries=5, page_size=2,
+                                               queries_per_session=1),
+                          backend=backend)
         assert log.end_reason == END_QUERIES_EXHAUSTED
         assert len(log.queries_issued) == 1
 
@@ -170,9 +179,10 @@ class TestRunSessionTraces:
         _, index, topic, qrels = twin_setup
         backend = backend_with(["twin", "unused second"], ANSWER_YES)
         policy = SessionPolicy(max_queries=3, page_size=2,
-                               stop_rule=SnippetStopRule("fixed_depth", 2))
+                               stop_rule=SnippetStopRule("fixed_depth", 2),
+                               queries_per_session=2)
         log = run_session(topic, UserKind.PRF, index, qrels, policy=policy,
-                          backend=backend, queries_per_session=2)
+                          backend=backend)
         assert log.queries_issued[0] == "twin"
         assert log.queries_issued[1:] == ["reformulated follow up"] * 2
         assert log.initial_queries == ["twin", "unused second"]
@@ -186,6 +196,58 @@ class TestRunSessionTraces:
         _, index, topic, qrels = twin_setup
         with pytest.raises(ValueError):
             run_session(topic, UserKind.FTTC, index, qrels)
+
+
+class TestSummaryRequests:
+    """A summary is requested only for a side that the kind's prompts read."""
+
+    VETO = "this article is vetoed by its own long title"  # longer key wins
+
+    @pytest.fixture
+    def mixed_setup(self):
+        # d1 is judged relevant; d2's snippet (body only) gets a Yes, but its
+        # full text carries the vetoing title, so it is judged irrelevant
+        docs = [Document(doc_id="d1", body="twin text about things"),
+                Document(doc_id="d2", title=self.VETO, body="twin text about stuff")]
+        backend = backend_with(["twin"], {"Would this text be useful": "Yes",
+                                          self.VETO: "No",
+                                          "Output only the summary": "themes so far"})
+        return docs, Topic(topic_id="9", title="twin things"), CapturingBackend(backend)
+
+    def summary_sides(self, docs, topic, backend, kind, max_queries=1):
+        log = run_session(topic, kind, build_index(docs), QrelSet(),
+                          policy=SessionPolicy(max_queries=max_queries, page_size=2,
+                                               queries_per_session=1),
+                          backend=backend)
+        sides = set()
+        for prompt in backend.prompts("summarization"):
+            sides.add("irrelevant" if "you judged irrelevant" in prompt else "relevant")
+        return log, sides
+
+    @pytest.mark.parametrize("kind, sides", [
+        (UserKind.TTT, set()),
+        (UserKind.FTTC, set()),
+        (UserKind.PRF, {"relevant"}),
+        (UserKind.NRF, {"irrelevant"}),
+        (UserKind.CRF, {"relevant", "irrelevant"}),
+        (UserKind.CRF_PRIME, {"relevant", "irrelevant"}),
+    ])
+    def test_requested_sides_per_kind(self, mixed_setup, kind, sides):
+        docs, topic, backend = mixed_setup
+        log, requested = self.summary_sides(docs, topic, backend, kind)
+        judged = {it.payload["doc_id"]: it.payload["relevant"]
+                  for it in log.interactions if it.kind == JUDGMENT_MADE}
+        assert judged == {"d1": True, "d2": False}
+        assert requested == sides
+
+    def test_prf_switches_to_followups_after_an_irrelevant_first_judgment(self, mixed_setup):
+        docs, topic, backend = mixed_setup
+        log, requested = self.summary_sides(docs[1:], topic, backend, UserKind.PRF,
+                                            max_queries=2)
+        assert [it.payload["relevant"] for it in log.interactions
+                if it.kind == JUDGMENT_MADE] == [False]
+        assert requested == set()
+        assert log.queries_issued == ["twin", "reformulated follow up"]
 
 
 class TestSessionProperties:
@@ -215,9 +277,9 @@ class TestSessionProperties:
                          snippet_cost=rng.choice([0.5, 3.0]),
                          document_cost=rng.choice([2.0, 20.0]),
                          judgment_cost=rng.choice([0.0, 5.0]))
-        log = run_session(topic, kind, index, qrels, policy=policy, cost_model=cost,
+        log = run_session(topic, kind, index, qrels, cost_model=cost,
                           backend=ScriptedBackend(), rng_seed=rng.randrange(10_000),
-                          queries_per_session=rng.randrange(1, 5))
+                          policy=replace(policy, queries_per_session=rng.randrange(1, 5)))
         return log, cost
 
     def test_causality_cost_and_uniqueness_fuzzed(self):
@@ -288,7 +350,8 @@ class TestCampaign:
         docs, topics, qrels = fixture_collection
         index = build_index(docs)
         policy = SessionPolicy(max_queries=2, page_size=3,
-                               stop_rule=SnippetStopRule("fixed_depth", 3))
+                               stop_rule=SnippetStopRule("fixed_depth", 3),
+                               queries_per_session=2)
         return topics[:2], index, qrels, policy
 
     def test_kind_validation(self):
@@ -302,8 +365,7 @@ class TestCampaign:
     def test_documented_order_and_count(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
         logs = run_campaign(topics, [UserKind.RND, UserKind.TTT], index, qrels,
-                            policy=policy, backend=ScriptedBackend(),
-                            queries_per_session=2)
+                            policy=policy, backend=ScriptedBackend())
         assert [(log.topic_id, log.user_kind) for log in logs] == [
             (topics[0].topic_id, UserKind.RND), (topics[0].topic_id, UserKind.TTT),
             (topics[1].topic_id, UserKind.RND), (topics[1].topic_id, UserKind.TTT),
@@ -314,7 +376,7 @@ class TestCampaign:
         def once():
             logs = run_campaign(topics, [UserKind.RND, UserKind.FTTC], index, qrels,
                                 policy=policy, backend=ScriptedBackend(),
-                                campaign_seed=5, queries_per_session=2)
+                                campaign_seed=5)
             return [session_log_to_jsonl(log) for log in logs]
         assert once() == once()
 
@@ -322,10 +384,10 @@ class TestCampaign:
         topics, index, qrels, policy = campaign_setup
         base = run_campaign(topics, [UserKind.RND, UserKind.TTT], index, qrels,
                             policy=policy, backend=ScriptedBackend(),
-                            campaign_seed=5, queries_per_session=2)
+                            campaign_seed=5)
         extended = run_campaign(topics, [UserKind.RND, UserKind.TTT, UserKind.CRF],
                                 index, qrels, policy=policy, backend=ScriptedBackend(),
-                                campaign_seed=5, queries_per_session=2)
+                                campaign_seed=5)
         base_by_key = {(log.topic_id, log.user_kind): session_log_to_jsonl(log)
                        for log in base}
         for log in extended:
@@ -336,8 +398,7 @@ class TestCampaign:
     def test_rnd_star_replays_fttc_queries(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
         logs = run_campaign(topics, [UserKind.FTTC, UserKind.RND_STAR], index, qrels,
-                            policy=policy, backend=ScriptedBackend(),
-                            queries_per_session=2)
+                            policy=policy, backend=ScriptedBackend())
         by_key = {(log.topic_id, log.user_kind): log for log in logs}
         for topic in topics:
             fttc = by_key[(topic.topic_id, UserKind.FTTC)]
@@ -349,10 +410,9 @@ class TestCampaign:
         topics, index, qrels, policy = campaign_setup
         kinds = [UserKind.RND, UserKind.FTTC, UserKind.RND_STAR]
         serial = run_campaign(topics, kinds, index, qrels, policy=policy,
-                              backend=ScriptedBackend(), queries_per_session=2)
+                              backend=ScriptedBackend())
         parallel = run_campaign(topics, kinds, index, qrels, policy=policy,
-                                backend=ScriptedBackend(), queries_per_session=2,
-                                workers=4)
+                                backend=ScriptedBackend(), workers=4)
         assert ([session_log_to_jsonl(log) for log in serial]
                 == [session_log_to_jsonl(log) for log in parallel])
 
@@ -364,15 +424,49 @@ class TestCampaign:
     def test_duplicate_topic_ids_rejected(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
         twin = Topic(topic_id=topics[0].topic_id, title="another topic with the same id")
-        with pytest.raises(CampaignError, match="duplicate topic id"):
-            run_campaign([topics[0], twin], [UserKind.RND], index, qrels, policy=policy)
+        cases = [
+            ([topics[0], twin], "duplicate topic id"),
+            # both would write 401_a__FTTC.jsonl
+            ([Topic(topic_id="401.a", title="first"), Topic(topic_id="401_a", title="second")],
+             "'401.a' and '401_a' map to the same log file names"),
+            ([topics[0], Topic(topic_id="", title="a topic without <num>")], "empty id"),
+        ]
+        for case_topics, message in cases:
+            backend = CapturingBackend(ScriptedBackend())
+            with pytest.raises(CampaignError, match=message):
+                run_campaign(case_topics, [UserKind.FTTC], index, qrels, policy=policy,
+                             backend=backend)
+            assert backend.requests == []  # rejected before any session ran
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failed_session_stops_sessions_not_yet_started(self, fixture_collection,
+                                                           workers):
+        docs, topics, qrels = fixture_collection
+        calls = []
+
+        class Broken:
+            def complete(self, request):
+                calls.append(request)  # list.append is atomic across threads
+                raise RuntimeError("not a backend failure: a bug")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with pytest.raises(RuntimeError, match="a bug"):
+                run_campaign(topics, [UserKind.TTT, UserKind.FTTC, UserKind.CRF],
+                             build_index(docs), qrels, backend=Broken(), workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(topics) == 3  # 9 sessions queued
+        # each session fails on its first request; only those already running reach it
+        assert 1 <= len(calls) <= workers
 
     def test_failed_fttc_degrades_rnd_star_without_crashing(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
         backend = ScriptedBackend({"Output only the numbered queries": "",
                                    "exactly": ""})  # both attempts unparseable
         logs = run_campaign(topics, [UserKind.FTTC, UserKind.RND_STAR], index, qrels,
-                            policy=policy, backend=backend, queries_per_session=2)
+                            policy=policy, backend=backend)
         by_kind = {}
         for log in logs:
             by_kind.setdefault(log.user_kind, []).append(log)
