@@ -144,7 +144,16 @@ def _collect_logs(logs_dir: Path, force: bool):
     manifest = None
     if (logs_dir / "manifest.json").is_file():
         manifest = read_campaign_manifest(logs_dir)
-    logs = [read_session_log(p) for p in sorted(logs_dir.glob("*.jsonl"))]
+    paths = sorted(logs_dir.glob("*.jsonl"))
+    if manifest is not None and not force:
+        present = {p.name for p in paths}
+        missing = [s["file"] for s in manifest.get("sessions", []) if s["file"] not in present]
+        if missing:
+            raise ConfigError(f"{len(missing)} session log(s) listed in "
+                              f"{logs_dir / 'manifest.json'} are missing: "
+                              f"{', '.join(missing)}; rerun with --force to evaluate "
+                              "the logs that are present")
+    logs = [read_session_log(p) for p in paths]
     if not logs:
         raise ConfigError(f"no session logs found in {logs_dir}")
     hashes = {log.config_hash for log in logs}
@@ -275,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sdcg-bq", type=float, default=4.0)
     p_eval.add_argument("--name", default="campaign", help="prefix for curve files")
     p_eval.add_argument("--force", action="store_true",
-                        help="allow logs from mixed campaign configs")
+                        help="allow logs from mixed campaign configs, and fewer "
+                        "logs than manifest.json lists")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="print a summary of an evaluation")

@@ -37,6 +37,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _convert(value, key: str, convert):
+    """``convert(value)``; a value it refuses is a ConfigError naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, not {type(value).__name__}")
+    return value
+
+
 @dataclass
 class CampaignConfig:
     # collection
@@ -102,26 +116,30 @@ class CampaignConfig:
             users = [UserKind(u) for u in raw.get("users", ["FTTC"])]
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
+        k1 = _convert(index_opts.get("k1", DEFAULT_K1), "index.k1", float)
+        b = _convert(index_opts.get("b", DEFAULT_B), "index.b", float)
+        timeout = _convert(llm_opts.get("timeout", 60.0), "llm.timeout", float)
+        retries = _convert(llm_opts.get("retries", 2), "llm.retries", int)
+        campaign_seed = _convert(raw.get("campaign_seed", 0), "campaign_seed", int)
+        anomaly_threshold = _convert(raw.get("anomaly_threshold", 0), "anomaly_threshold", int)
         try:
             # only the keys the file sets; SessionPolicy holds the defaults
             policy_opts = {f.name: session_opts[f.name] for f in fields(SessionPolicy)
                            if f.name in session_opts}
             if "p_random" in policy_opts:
-                policy_opts["p_random"] = float(policy_opts["p_random"])
+                policy_opts["p_random"] = _convert(policy_opts["p_random"],
+                                                   "session.p_random", float)
             if "stop_rule" in policy_opts:
                 policy_opts["stop_rule"] = SnippetStopRule(**policy_opts["stop_rule"])
             policy = SessionPolicy(**policy_opts)
             cost_model = CostModel(
-                query_cost=float(costs.get("query", 10.0)),
-                snippet_cost=float(costs.get("snippet", 3.0)),
-                document_cost=float(costs.get("document", 20.0)),
-                judgment_cost=float(costs.get("judgment", 5.0)),
+                query_cost=_convert(costs.get("query", 10.0), "costs.query", float),
+                snippet_cost=_convert(costs.get("snippet", 3.0), "costs.snippet", float),
+                document_cost=_convert(costs.get("document", 20.0), "costs.document", float),
+                judgment_cost=_convert(costs.get("judgment", 5.0), "costs.judgment", float),
             )
-            persona = Persona(
-                role_name=persona_opts.get("role_name", Persona().role_name),
-                instruction_preamble=persona_opts.get("instruction_preamble",
-                                                      Persona().instruction_preamble),
-            )
+            persona = Persona(**{f.name: _string(persona_opts[f.name], f"persona.{f.name}")
+                                 for f in fields(Persona) if f.name in persona_opts})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         output = raw.get("output_dir", "out")
@@ -134,8 +152,8 @@ class CampaignConfig:
             collection_name=collection.get("name", "collection"),
             stopwords=bool(index_opts.get("stopwords", False)),
             stem=bool(index_opts.get("stem", False)),
-            k1=float(index_opts.get("k1", DEFAULT_K1)),
-            b=float(index_opts.get("b", DEFAULT_B)),
+            k1=k1,
+            b=b,
             users=users,
             policy=policy,
             cost_model=cost_model,
@@ -144,13 +162,13 @@ class CampaignConfig:
             endpoint=llm_opts.get("endpoint"),
             model=llm_opts.get("model"),
             api_key_env=llm_opts.get("api_key_env", "SEARCHSIM_API_KEY"),
-            timeout=float(llm_opts.get("timeout", 60.0)),
-            retries=int(llm_opts.get("retries", 2)),
+            timeout=timeout,
+            retries=retries,
             max_tokens=llm_opts.get("max_tokens"),
             templates_dir=_path(raw.get("templates_dir")),
             persona=persona,
-            campaign_seed=int(raw.get("campaign_seed", 0)),
-            anomaly_threshold=int(raw.get("anomaly_threshold", 0)),
+            campaign_seed=campaign_seed,
+            anomaly_threshold=anomaly_threshold,
             output_dir=Path(output),
         )
 

@@ -65,9 +65,10 @@ class InvertedIndex:
     """Postings and documents plus the BM25 options fixed at build time.
 
     ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are derived from the documents
-    and their lengths. BM25 contributions are computed once per term on first
-    use; the cache publishes finished lists only and never changes them, so
-    concurrent sessions may share one index.
+    and their lengths, and so is each document's BM25 length norm. BM25
+    contributions are computed once per term on first use; the cache
+    publishes finished lists only and never changes them, so concurrent
+    sessions may share one index.
     """
 
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)], ordinals ascending
@@ -82,6 +83,7 @@ class InvertedIndex:
     avg_doc_len: float = field(init=False)
     _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _impacts: dict[str, list[tuple[int, float]]] = field(init=False, repr=False, compare=False)
+    _norms: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.doc_ids = [d.doc_id for d in self.documents]
@@ -89,6 +91,10 @@ class InvertedIndex:
         self.avg_doc_len = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
         self._by_id = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
         self._impacts = {}
+        # bm25_score's length normalization, k1*(1 - b + b*doc_len/avg_doc_len)
+        avg, k1, b = self.avg_doc_len, self.k1, self.b
+        self._norms = [k1 * (1.0 - b + b * (doc_len / avg if avg > 0 else 0.0))
+                       for doc_len in self.doc_lengths]
 
     def df(self, term: str) -> int:
         return len(self.postings.get(term, ()))
@@ -109,8 +115,12 @@ class InvertedIndex:
         if impacts is None:
             plist = self.postings[term]
             df = len(plist)
-            impacts = [(ordinal, bm25_score(tf, df, self.doc_lengths[ordinal], self.avg_doc_len,
-                                            self.n_docs, self.k1, self.b))
+            # bm25_score's float operations in its order, so each impact is
+            # the same float, with idf and the length norms computed once
+            idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+            k1_plus_1 = self.k1 + 1.0
+            norms = self._norms
+            impacts = [(ordinal, idf * (tf * k1_plus_1) / (tf + norms[ordinal]) if tf else 0.0)
                        for ordinal, tf in plist]
             # a thread that lost the race uses the list published first
             impacts = self._impacts.setdefault(term, impacts)
@@ -199,8 +209,14 @@ def rank_documents(index: InvertedIndex, query: str, depth: int) -> list[tuple[i
     doc_id ascending so results are reproducible.
     """
     scores = index.scores(tokenize(query, index.stopwords, index.stem))
+    candidates = scores.items()
+    if 0 < depth < len(scores):
+        # only scores at or above the depth-th best can rank; keeping every
+        # tie at the cutoff leaves the doc_id tie break to the sort below
+        cutoff = heapq.nlargest(depth, scores.values())[-1]
+        candidates = [kv for kv in candidates if kv[1] >= cutoff]
     doc_ids = index.doc_ids
-    return heapq.nsmallest(depth, scores.items(), key=lambda kv: (-kv[1], doc_ids[kv[0]]))
+    return heapq.nsmallest(depth, candidates, key=lambda kv: (-kv[1], doc_ids[kv[0]]))
 
 
 def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10, *,
@@ -238,15 +254,7 @@ def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:
     body = document.body
     if len(body) <= max_chars:
         return body.strip()
-    qterms = set(tokenize(query))
-    match_start = match_end = -1
-    if qterms:
-        for m in _TOKEN_RE.finditer(body):
-            if m.group(0).lower() in qterms:
-                match_start, match_end = m.start(), m.end()
-                break
-    if match_start < 0:
-        match_start = match_end = 0
+    match_start, match_end = _first_query_token(body, set(tokenize(query)))
     a = max(0, match_start - max_chars // 3)
     if a > 0:
         space = body.find(" ", a, match_start)
@@ -261,6 +269,35 @@ def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:
     if end < len(body):
         snippet += "…"
     return snippet
+
+
+def _first_query_token(body: str, qterms: set[str]) -> tuple[int, int]:
+    """Span of the first body token equal to a query term, case-insensitively;
+    (0, 0) when none is."""
+    if not qterms:
+        return 0, 0
+    if body.isascii():
+        # ASCII lowercasing keeps every position and tokens are [A-Za-z0-9]
+        # runs, so a term found in the lowered body with no letter or digit on
+        # either side is a whole token at the same position in the body.
+        lowered = body.lower()
+        best_start = best_end = len(body)
+        for term in qterms:
+            start = lowered.find(term)
+            while 0 <= start < best_start:
+                end = start + len(term)
+                if ((start == 0 or not lowered[start - 1].isalnum())
+                        and (end == len(lowered) or not lowered[end].isalnum())):
+                    best_start, best_end = start, end
+                    break
+                start = lowered.find(term, start + 1)
+        return (best_start, best_end) if best_start < len(body) else (0, 0)
+    # str.lower may change the length or depend on context here ('İ', final
+    # 'Σ'), so each token is lowered on its own
+    for m in _TOKEN_RE.finditer(body):
+        if m.group(0).lower() in qterms:
+            return m.start(), m.end()
+    return 0, 0
 
 
 # --- on-disk form -------------------------------------------------------------
@@ -310,10 +347,23 @@ def index_from_bytes(data: bytes) -> InvertedIndex:
         documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
                               source=d["source"]) for d in payload["documents"]]
         stopwords = payload["stopwords"]
+        doc_lengths = payload["doc_lengths"]
+        n_docs = len(doc_lengths)
+        if len(documents) != n_docs or min(doc_lengths, default=0) < 0:
+            raise ValueError("doc_lengths must hold one non-negative length per document")
+        postings = {}
+        # build_index writes none of the values refused here; impacts and the
+        # document lookups rely on that rather than checking every search
+        for term, flat in payload["postings"].items():
+            ordinals, tfs = flat[::2], flat[1::2]
+            if ordinals and (len(ordinals) > n_docs or min(ordinals) < 0
+                             or max(ordinals) >= n_docs or min(tfs) < 0):
+                raise ValueError(f"term {term!r}: df above n_docs, a document ordinal "
+                                 f"outside [0, {n_docs}) or a negative tf")
+            postings[term] = list(zip(ordinals, tfs))
         return InvertedIndex(
-            postings={t: list(zip(flat[::2], flat[1::2]))
-                      for t, flat in payload["postings"].items()},
-            doc_lengths=payload["doc_lengths"],
+            postings=postings,
+            doc_lengths=doc_lengths,
             documents=documents,
             stopwords=frozenset(stopwords) if stopwords else None,
             stem=bool(payload["stem"]),

@@ -1,13 +1,16 @@
-"""Shared brute-force oracles and log fuzzers for the metric tests.
+"""Shared brute-force oracles and log fuzzers for the metric and index tests.
 
-The oracles re-derive both measures straight from the raw interaction rows,
-independently of the library's implementations.
+The metric oracles re-derive both measures straight from the raw interaction
+rows, independently of the library's implementations; the snippet oracle
+finds its match by lowering and comparing every body token in turn.
 """
 from __future__ import annotations
 
 import math
+import re
 
 from searchsim.agents import UserKind
+from searchsim.index import tokenize
 from searchsim.session import (
     ANOMALY,
     DOCUMENT_VIEWED,
@@ -106,3 +109,33 @@ def fuzz_log(rng, max_interactions=100):
             rows.append((ANOMALY, 0.0, {"message": "noise"}))
     rows.append((SESSION_ENDED, 0.0, {"reason": "max_queries_reached"}))
     return make_log(rows)
+
+
+def oracle_snippet(body, query, max_chars):
+    """make_snippet's window around the first body token that equals a query
+    term once lowercased (the leading text when none does)."""
+    if len(body) <= max_chars:
+        return body.strip()
+    qterms = set(tokenize(query))
+    match_start = match_end = -1
+    if qterms:
+        for m in re.finditer(r"[^\W_]+", body):
+            if m.group(0).lower() in qterms:
+                match_start, match_end = m.start(), m.end()
+                break
+    if match_start < 0:
+        match_start = match_end = 0
+    a = max(0, match_start - max_chars // 3)
+    if a > 0:
+        space = body.find(" ", a, match_start)
+        if space >= 0:
+            a = space + 1
+    end = min(len(body), a + max_chars)
+    if end < len(body):
+        space = body.rfind(" ", max(a + 1, match_end), end)
+        if space > match_end:
+            end = space
+    snippet = body[a:end].strip()
+    if end < len(body):
+        snippet += "…"
+    return snippet

@@ -172,6 +172,32 @@ class TestCmdSimulate:
                 assert main([command, "--config", str(config_path)]) == 1, (key, value)
                 assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("index.k1", "abc"),
+        ("index.b", "x"),
+        ("campaign_seed", "x"),
+        ("anomaly_threshold", "many"),
+        ("llm.timeout", "soon"),
+        ("llm.retries", "twice"),
+        ("costs.query", "cheap"),
+        ("session.p_random", "often"),
+        ("persona.role_name", 5),
+        ("persona.instruction_preamble", ["be brief"]),
+    ])
+    def test_bad_config_type_fails_validation_at_load(self, tmp_path, capsys, key, value):
+        config_path = write_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        *sections, name = key.split(".")
+        target = config
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[name] = value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("index", "simulate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(config_path)]) == 1
+            assert key in capsys.readouterr().err
+
     def test_rnd_star_without_fttc_fails_validation(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND_STAR",))
         assert main(["simulate", "--config", str(config_path)]) == 1
@@ -272,6 +298,19 @@ class TestCmdEvaluate:
         shutil.copy(tmp_path / "out_b" / "logs" / "801__RND.jsonl", mixed / "b.jsonl")
         assert main(["evaluate", "--logs", str(mixed)]) == 1
         assert main(["evaluate", "--logs", str(mixed), "--force"]) == 0
+
+    def test_log_listed_in_manifest_but_missing(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND", "FTTC"))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        manifest = json.loads((logs / "manifest.json").read_text())
+        gone = manifest["sessions"][1]["file"]
+        (logs / gone).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+        assert gone in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval").exists()
+        assert main(["evaluate", "--logs", str(logs), "--force"]) == 0
 
     def test_missing_logs_dir(self, tmp_path):
         assert main(["evaluate", "--logs", str(tmp_path / "void")]) == 1

@@ -10,6 +10,7 @@ import weakref
 
 import pytest
 
+import searchsim.index
 from searchsim.corpus import Document
 from searchsim.index import (
     ENGLISH_STOPWORDS,
@@ -26,6 +27,8 @@ from searchsim.index import (
     search,
     tokenize,
 )
+
+from oracles import oracle_snippet
 
 # Hand evaluation of the scoring formula for tf=1, df=1, dl=avgdl, N=2:
 # idf = ln((2 - 1 + 0.5)/(1 + 0.5) + 1) = ln(2); tf part = 2.2/2.2 = 1.
@@ -175,6 +178,19 @@ class TestBm25Score:
             bm25_score(1, 1, 10, 0.0, 5)
 
 
+class TestImpacts:
+    @pytest.mark.parametrize("k1, b", [(1.2, 0.75), (0.9, 0.4), (0, 0), (2, 1)])
+    def test_impacts_equal_bm25_score_exactly(self, fixture_collection, k1, b):
+        docs, _, _ = fixture_collection
+        index = build_index(docs, k1=k1, b=b)
+        for term, plist in index.postings.items():
+            df = len(plist)
+            assert index.impacts(term) == [
+                (ordinal, bm25_score(tf, df, index.doc_lengths[ordinal], index.avg_doc_len,
+                                     index.n_docs, k1, b))
+                for ordinal, tf in plist], term
+
+
 class TestSearch:
     def test_single_term_single_doc(self, toy_docs):
         serp = search(build_index(toy_docs), "oranges")
@@ -288,6 +304,43 @@ class TestSearch:
             assert [ordinal for ordinal, _ in ranking] == [
                 index.doc_ids.index(doc_id) for _, doc_id, _ in search(index, query, 1, 12).results]
 
+    def test_ties_at_the_cutoff_equal_brute_force_pages(self):
+        # 4 documents score above 20 that tie on "alpha"; every depth cuts
+        # into the tie, and doc_id order differs from ordinal order
+        rng = random.Random(11)
+        bodies = (["alpha alpha beta"] * 4 + ["alpha gamma delta"] * 20
+                  + ["gamma delta epsilon"] * 6)
+        names = [f"d{i:02d}" for i in range(len(bodies))]
+        rng.shuffle(names)
+        docs = [Document(doc_id=name, body=body) for name, body in zip(names, bodies)]
+        index = build_index(docs)
+        expected = brute_force_search(docs, "alpha")
+        assert len(expected) == 24
+        for depth in range(1, 30):
+            assert [(index.doc_ids[o], score) for o, score in
+                    rank_documents(index, "alpha", depth)] == expected[:depth]
+        for page in range(1, 8):
+            assert [(r[1], r[2]) for r in search(index, "alpha", page, 4).results] == (
+                expected[(page - 1) * 4:page * 4])
+
+    def test_make_snippet_called_once_per_row(self, fixture_collection, monkeypatch):
+        docs, _, _ = fixture_collection
+        index = build_index(docs)
+        calls = []
+        real = searchsim.index.make_snippet
+
+        def counting(document, query, max_chars=160):
+            calls.append(document.doc_id)
+            return real(document, query, max_chars)
+
+        monkeypatch.setattr(searchsim.index, "make_snippet", counting)
+        ranking = rank_documents(index, "the city council", 12)
+        for page in range(1, 6):
+            for given in (None, ranking):
+                calls.clear()
+                serp = search(index, "the city council", page, 4, ranking=given)
+                assert calls == [doc_id for _, doc_id, _ in serp.results]
+
     def test_determinism_bit_identical(self, fixture_collection):
         docs, _, _ = fixture_collection
         a = search(build_index(docs), "wind permits", 1, 10)
@@ -336,6 +389,35 @@ class TestMakeSnippet:
             assert len(snippet) <= max_chars + 1
 
 
+    def test_equals_token_oracle_fuzzed(self):
+        rng = random.Random(20261018)
+        words = ["cat", "Cat", "CAT", "cats", "scat", "concatenate", "cat9", "9cat",
+                 "c4t", "2026", "dog_cat", "cat_dog", "Dog", "the", "a",
+                 "İstanbul", "İ", "i", "ΣΟΦΟΣ", "σοφος", "ΟΔΟΣ", "ß", "STRASSE",
+                 "strasse", "café", "CAFÉ", "naïve", "Ångström", "resume", "résumé"]
+        separators = [" ", " ", " ", "  ", ", ", ". ", "-", "_", "'", "\n", "!", "(", ")"]
+        query_terms = ["cat", "CAT", "cats", "at", "ca", "concat", "9", "cat9", "dog",
+                       "the", "ss", "i", "İstanbul", "σοφος", "ΣΟΦΟΣ", "ß", "café",
+                       "résumé", "zzz", "_", "cat_dog"]
+        branches = {True: 0, False: 0}
+        for _ in range(4000):
+            body = "".join(rng.choice(words) + rng.choice(separators)
+                           for _ in range(rng.randrange(0, 80)))
+            if rng.random() < 0.5:
+                body = body.encode("ascii", "ignore").decode("ascii")
+            query = " ".join(rng.choice(query_terms) for _ in range(rng.randrange(0, 5)))
+            tokens = tokenize(body)
+            if tokens and rng.random() < 0.2:
+                # a query term at the very start or end of the body
+                query += " " + rng.choice((tokens[0], tokens[-1]))
+            max_chars = rng.randrange(16, 201)
+            if len(body) > max_chars:
+                branches[body.isascii()] += 1
+            assert make_snippet(Document(doc_id="d", body=body), query, max_chars) == (
+                oracle_snippet(body, query, max_chars)), (body, query, max_chars)
+        assert min(branches.values()) > 1000
+
+
 class TestSerialization:
     def test_round_trip(self, fixture_collection, tmp_path):
         docs, _, _ = fixture_collection
@@ -377,5 +459,20 @@ class TestSerialization:
     def test_missing_field_rejected(self, toy_docs):
         payload = json.loads(index_to_bytes(build_index(toy_docs)))
         del payload["k1"]
+        with pytest.raises(IndexFormatError, match="malformed"):
+            index_from_bytes(json.dumps(payload).encode("utf-8"))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: payload["postings"].update(apples=[0, -2, 1, 1]),
+        lambda payload: payload["doc_lengths"].__setitem__(1, -4),
+        lambda payload: payload["doc_lengths"].append(5),
+        lambda payload: payload["postings"].update(apples=[0, 2, 1, 1, 2, 1, 0, 1]),
+        lambda payload: payload["postings"].update(apples=[-1, 1]),
+        lambda payload: payload["postings"].update(apples=[0, 2, 7, 1]),
+    ], ids=["negative tf", "negative doc length", "more lengths than documents",
+            "df above n_docs", "negative ordinal", "ordinal past the last document"])
+    def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
+        payload = json.loads(index_to_bytes(build_index(toy_docs)))
+        corrupt(payload)
         with pytest.raises(IndexFormatError, match="malformed"):
             index_from_bytes(json.dumps(payload).encode("utf-8"))

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import searchsim.session
 from searchsim.agents import UserKind
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.index import build_index
@@ -196,6 +197,26 @@ class TestRunSessionTraces:
         _, index, topic, qrels = twin_setup
         with pytest.raises(ValueError):
             run_session(topic, UserKind.FTTC, index, qrels)
+
+    @pytest.mark.parametrize("kind", [UserKind.RND, UserKind.FTTC])
+    def test_ranks_once_per_issued_query(self, fixture_collection, monkeypatch, kind):
+        docs, topics, qrels = fixture_collection
+        index = build_index(docs)
+        calls = []
+        real = searchsim.session.rank_documents
+
+        def counting(index, query, depth):
+            calls.append(query)
+            return real(index, query, depth)
+
+        monkeypatch.setattr(searchsim.session, "rank_documents", counting)
+        log = run_session(topics[0], kind, index, qrels, backend=ScriptedBackend(),
+                          policy=SessionPolicy(max_queries=3, page_size=3,
+                                               max_pages_per_query=2,
+                                               queries_per_session=3))
+        issued = [it.payload["query"] for it in log.interactions if it.kind == QUERY_ISSUED]
+        assert len(issued) == 3
+        assert calls == issued
 
 
 class TestSummaryRequests:
