@@ -20,6 +20,7 @@ prompt and follow-up queries replace the pre-generated ones.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -115,35 +116,39 @@ class QueryGenerationError(RuntimeError):
 
 
 class PromptTemplates:
-    """Plain-text prompt templates with named placeholders.
+    """Plain-text prompt templates with named placeholders, for one persona.
 
     Optional blocks (topic fields, summaries) arrive pre-rendered with their
     labels, or as empty strings when excluded, so a single template serves
-    every user kind.
+    every user kind. The system message depends only on the persona (default:
+    ``Persona()``), so it is rendered once, into ``system``.
     """
 
     REQUIRED = ("system", "initial_queries", "judge", "followup_query", "summarize")
 
-    def __init__(self, mapping: dict[str, str]):
+    def __init__(self, mapping: dict[str, str], persona: Persona | None = None):
         missing = [name for name in self.REQUIRED if name not in mapping]
         if missing:
             raise ValueError(f"missing templates: {', '.join(missing)}")
         self.mapping = dict(mapping)
+        persona = persona or Persona()
+        self.system = self.render("system", role_name=persona.role_name,
+                                  instruction_preamble=persona.instruction_preamble).strip()
 
     @classmethod
-    def load_dir(cls, path: str | Path) -> "PromptTemplates":
+    def load_dir(cls, path: str | Path, persona: Persona | None = None) -> "PromptTemplates":
         path = Path(path)
         mapping = {f.stem: f.read_text(encoding="utf-8") for f in sorted(path.glob("*.txt"))}
-        return cls(mapping)
+        return cls(mapping, persona)
 
     @classmethod
-    def default(cls) -> "PromptTemplates":
+    def default(cls, persona: Persona | None = None) -> "PromptTemplates":
         root = resources.files(__package__) / "templates"
         mapping = {
             name: (root / f"{name}.txt").read_text(encoding="utf-8")
             for name in cls.REQUIRED
         }
-        return cls(mapping)
+        return cls(mapping, persona)
 
     def render(self, name: str, **values: str) -> str:
         try:
@@ -152,14 +157,9 @@ class PromptTemplates:
             raise KeyError(f"template {name!r} needs a value for {exc}") from exc
 
 
-_DEFAULT_TEMPLATES: PromptTemplates | None = None
-
-
+@functools.cache
 def default_templates() -> PromptTemplates:
-    global _DEFAULT_TEMPLATES
-    if _DEFAULT_TEMPLATES is None:
-        _DEFAULT_TEMPLATES = PromptTemplates.default()
-    return _DEFAULT_TEMPLATES
+    return PromptTemplates.default()
 
 
 @dataclass
@@ -214,60 +214,50 @@ def _summary_fields(state: KnowledgeState | None, kind: UserKind) -> dict[str, s
     return {"relevant_summary": rel, "irrelevant_summary": irr}
 
 
-def _messages(persona: Persona, templates: PromptTemplates, name: str,
+def _messages(templates: PromptTemplates | None, name: str,
               values: dict[str, str]) -> tuple[ChatMessage, ChatMessage]:
-    system = templates.render("system", role_name=persona.role_name,
-                              instruction_preamble=persona.instruction_preamble)
-    return (ChatMessage("system", system.strip()),
+    templates = templates or default_templates()
+    return (ChatMessage("system", templates.system),
             ChatMessage("user", templates.render(name, **values)))
 
 
 def build_initial_queries_prompt(topic: Topic, kind: UserKind, n_queries: int, *,
-                                 templates: PromptTemplates | None = None,
-                                 persona: Persona | None = None) -> tuple[ChatMessage, ...]:
-    templates = templates or default_templates()
-    persona = persona or Persona()
+                                 templates: PromptTemplates | None = None
+                                 ) -> tuple[ChatMessage, ...]:
     values = _topic_fields(topic, TOPIC_CONTEXT[kind])
     values["n_queries"] = str(n_queries)
-    return _messages(persona, templates, "initial_queries", values)
+    return _messages(templates, "initial_queries", values)
 
 
 def build_judge_prompt(topic: Topic, kind: UserKind, state: KnowledgeState | None,
                        document_text: str, *,
-                       templates: PromptTemplates | None = None,
-                       persona: Persona | None = None) -> tuple[ChatMessage, ...]:
-    templates = templates or default_templates()
-    persona = persona or Persona()
+                       templates: PromptTemplates | None = None) -> tuple[ChatMessage, ...]:
     values = _topic_fields(topic, TOPIC_CONTEXT[kind])
     values.update(_summary_fields(state, kind))
     values["document"] = document_text
-    return _messages(persona, templates, "judge", values)
+    return _messages(templates, "judge", values)
 
 
 def build_followup_prompt(topic: Topic, kind: UserKind, state: KnowledgeState,
                           past_queries: list[str], *,
-                          templates: PromptTemplates | None = None,
-                          persona: Persona | None = None) -> tuple[ChatMessage, ...]:
-    templates = templates or default_templates()
-    persona = persona or Persona()
+                          templates: PromptTemplates | None = None
+                          ) -> tuple[ChatMessage, ...]:
     values = _topic_fields(topic, TOPIC_CONTEXT[kind])
     values.update(_summary_fields(state, kind))
     values["past_queries"] = "\n".join(f"{i}. {q}" for i, q in enumerate(past_queries, 1))
-    return _messages(persona, templates, "followup_query", values)
+    return _messages(templates, "followup_query", values)
 
 
 def build_summarize_prompt(texts: list[str], relevant: bool, *, max_words: int = 200,
-                           templates: PromptTemplates | None = None,
-                           persona: Persona | None = None) -> tuple[ChatMessage, ...]:
-    templates = templates or default_templates()
-    persona = persona or Persona()
+                           templates: PromptTemplates | None = None
+                           ) -> tuple[ChatMessage, ...]:
     blocks = "\n\n".join(f"Article {i}:\n{t}" for i, t in enumerate(texts, 1))
     values = {
         "polarity": "relevant" if relevant else "irrelevant",
         "max_words": str(max_words),
         "documents": blocks,
     }
-    return _messages(persona, templates, "summarize", values)
+    return _messages(templates, "summarize", values)
 
 
 # --- reply parsing --------------------------------------------------------------
@@ -316,10 +306,21 @@ def parse_yes_no(text: str) -> bool | None:
 
 # --- operations -----------------------------------------------------------------
 
+def _ask(backend, messages: tuple[ChatMessage, ...], tag: str) -> str:
+    """The reply text to ``messages``, sent with the task's default parameters."""
+    temperature, seed = default_params(tag)
+    return backend.complete(ChatRequest(messages, temperature=temperature, seed=seed,
+                                        tag=tag)).text
+
+
+def _stricter(messages: tuple[ChatMessage, ...], instruction: str) -> tuple[ChatMessage, ...]:
+    """``messages`` with ``instruction`` appended to the last (user) message."""
+    return messages[:-1] + (ChatMessage("user", messages[-1].content + instruction),)
+
+
 def generate_initial_queries(backend, topic: Topic, kind: UserKind, *,
                              n_queries: int = 10,
                              templates: PromptTemplates | None = None,
-                             persona: Persona | None = None,
                              on_anomaly: AnomalySink | None = None) -> list[str]:
     """One up-front LLM call producing the session's query list.
 
@@ -328,20 +329,12 @@ def generate_initial_queries(backend, topic: Topic, kind: UserKind, *,
     """
     if kind not in LLM_KINDS:
         raise ValueError(f"{kind.value} does not generate queries with the LLM")
-    temperature, seed = default_params(TAG_QUERY_GENERATION)
-    messages = build_initial_queries_prompt(topic, kind, n_queries,
-                                            templates=templates, persona=persona)
-    request = ChatRequest(messages, temperature=temperature, seed=seed,
-                          tag=TAG_QUERY_GENERATION)
-    reply = backend.complete(request)
-    queries = parse_query_list(reply.text)[:n_queries]
+    messages = build_initial_queries_prompt(topic, kind, n_queries, templates=templates)
+    queries = parse_query_list(_ask(backend, messages, TAG_QUERY_GENERATION))[:n_queries]
     if len(queries) < n_queries:
-        stricter = messages[-1].content + (
-            f"\nReturn exactly {n_queries} numbered queries and nothing else."
-        )
-        retry = ChatRequest(messages[:-1] + (ChatMessage("user", stricter),),
-                            temperature=temperature, seed=seed, tag=TAG_QUERY_GENERATION)
-        queries = parse_query_list(backend.complete(retry).text)[:n_queries]
+        retry = _stricter(messages, f"\nReturn exactly {n_queries} numbered queries "
+                                    "and nothing else.")
+        queries = parse_query_list(_ask(backend, retry, TAG_QUERY_GENERATION))[:n_queries]
     if not queries:
         raise QueryGenerationError(
             f"no queries could be parsed from the backend reply for topic {topic.topic_id}")
@@ -390,7 +383,6 @@ def decide_relevance_random(rng, p: float = 0.5) -> bool:
 def decide_relevance_llm(backend, topic: Topic, kind: UserKind,
                          state: KnowledgeState | None, document_text: str, *,
                          templates: PromptTemplates | None = None,
-                         persona: Persona | None = None,
                          on_anomaly: AnomalySink | None = None) -> bool:
     """Binary LLM judgment of a text at temperature 0.
 
@@ -399,13 +391,9 @@ def decide_relevance_llm(backend, topic: Topic, kind: UserKind,
     """
     if kind in RANDOM_KINDS:
         raise ValueError(f"{kind.value} decides relevance randomly, not via the LLM")
-    temperature, seed = default_params(TAG_RELEVANCE_JUDGMENT)
-    messages = build_judge_prompt(topic, kind, state, document_text,
-                                  templates=templates, persona=persona)
-    request = ChatRequest(messages, temperature=temperature, seed=seed,
-                          tag=TAG_RELEVANCE_JUDGMENT)
-    for attempt in range(2):
-        verdict = parse_yes_no(backend.complete(request).text)
+    messages = build_judge_prompt(topic, kind, state, document_text, templates=templates)
+    for _ in range(2):
+        verdict = parse_yes_no(_ask(backend, messages, TAG_RELEVANCE_JUDGMENT))
         if verdict is not None:
             return verdict
     if on_anomaly:
@@ -416,7 +404,6 @@ def decide_relevance_llm(backend, topic: Topic, kind: UserKind,
 def update_knowledge_state(backend, state: KnowledgeState, document: Document,
                            relevant: bool, *,
                            templates: PromptTemplates | None = None,
-                           persona: Persona | None = None,
                            max_words: int = 200,
                            on_anomaly: AnomalySink | None = None) -> KnowledgeState:
     """Absorb a fresh judgment and regenerate that side's summary.
@@ -427,13 +414,10 @@ def update_knowledge_state(backend, state: KnowledgeState, document: Document,
     """
     state.record(document.doc_id, document.full_text(), relevant)
     texts = state.texts_for(relevant)
-    temperature, seed = default_params(TAG_SUMMARIZATION)
     messages = build_summarize_prompt(texts, relevant, max_words=max_words,
-                                      templates=templates, persona=persona)
-    request = ChatRequest(messages, temperature=temperature, seed=seed,
-                          tag=TAG_SUMMARIZATION)
+                                      templates=templates)
     try:
-        summary = backend.complete(request).text.strip()
+        summary = _ask(backend, messages, TAG_SUMMARIZATION).strip()
     except Exception as exc:  # backend failure must not lose the judgment
         message = f"summarization failed, keeping previous summary: {exc}"
         logger.warning(message)
@@ -450,7 +434,6 @@ def update_knowledge_state(backend, state: KnowledgeState, document: Document,
 def generate_followup_query(backend, topic: Topic, kind: UserKind,
                             state: KnowledgeState, past_queries: list[str], *,
                             templates: PromptTemplates | None = None,
-                            persona: Persona | None = None,
                             on_anomaly: AnomalySink | None = None) -> str:
     """One new query informed by the kind's summaries, at temperature 1.0.
 
@@ -461,22 +444,15 @@ def generate_followup_query(backend, topic: Topic, kind: UserKind,
         raise ValueError(f"{kind.value} never reformulates queries")
     if not state.judged:
         raise ValueError("no judgments yet; the pre-generated queries still apply")
-    temperature, seed = default_params(TAG_QUERY_GENERATION)
-    messages = build_followup_prompt(topic, kind, state, past_queries,
-                                     templates=templates, persona=persona)
-    request = ChatRequest(messages, temperature=temperature, seed=seed,
-                          tag=TAG_FOLLOWUP_QUERY)
+    messages = build_followup_prompt(topic, kind, state, past_queries, templates=templates)
     query = ""
     for attempt in range(2):
-        lines = parse_query_list(backend.complete(request).text)
+        lines = parse_query_list(_ask(backend, messages, TAG_FOLLOWUP_QUERY))
         query = lines[0] if lines else ""
         if query and query not in past_queries:
             return query
         if attempt == 0:
-            stricter = messages[-1].content + "\nDo not repeat any earlier query."
-            request = ChatRequest(messages[:-1] + (ChatMessage("user", stricter),),
-                                  temperature=temperature, seed=seed,
-                                  tag=TAG_FOLLOWUP_QUERY)
+            messages = _stricter(messages, "\nDo not repeat any earlier query.")
     if not query:
         raise QueryGenerationError(
             f"no follow-up query could be parsed for topic {topic.topic_id}")

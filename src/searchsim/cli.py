@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import BACKEND_HTTP, BACKEND_SCRIPTED, CampaignConfig, ConfigError
@@ -93,11 +94,9 @@ def cmd_simulate(args) -> int:
     if problems:
         return _fail("; ".join(problems), EXIT_VALIDATION)
     if config.backend_kind == BACKEND_HTTP:
-        from .llm import BackendConfig
-        probe = BackendConfig(endpoint=config.endpoint, model=config.model,
-                              timeout=min(config.timeout, 10.0))
+        probe = replace(config.llm, timeout=min(config.llm.timeout, 10.0))
         if not probe_endpoint(probe):
-            return _fail(f"chat endpoint unreachable: {config.endpoint}", EXIT_RUNTIME)
+            return _fail(f"chat endpoint unreachable: {config.llm.endpoint}", EXIT_RUNTIME)
     try:
         index = load_index(index_path)
     except IndexFormatError as exc:
@@ -116,8 +115,7 @@ def cmd_simulate(args) -> int:
         logs = run_campaign(topics, config.ordered_users(), index, qrels,
                             policy=config.policy, cost_model=config.cost_model,
                             backend=backend, templates=config.make_templates(),
-                            persona=config.persona, campaign_seed=config.campaign_seed,
-                            workers=args.workers)
+                            campaign_seed=config.campaign_seed, workers=args.workers)
         config_hash = config.semantic_hash()
         logs_dir = config.output_dir / "logs"
         logs_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from .agents import Persona, PromptTemplates, UserKind
@@ -27,7 +27,13 @@ from .corpus import (
 )
 from .index import DEFAULT_B, DEFAULT_K1, ENGLISH_STOPWORDS, InvertedIndex
 from .llm import BackendConfig, HttpBackend, ScriptedBackend, load_reply_table
-from .session import CostModel, SessionPolicy, SnippetStopRule, validate_campaign_kinds
+from .session import (
+    CampaignError,
+    CostModel,
+    SessionPolicy,
+    SnippetStopRule,
+    validate_campaign_kinds,
+)
 
 BACKEND_SCRIPTED = "scripted"
 BACKEND_HTTP = "http"
@@ -45,10 +51,25 @@ def _convert(value, key: str, convert):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _string(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, not {type(value).__name__}")
+_JSON_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
+               bool: "true or false"}
+
+
+def _typed(value, key: str, kind: type):
+    """``value`` if it is a ``kind``; otherwise a ConfigError naming ``key``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {_JSON_NAMES[kind]}, not {type(value).__name__}")
     return value
+
+
+def _given(cls, opts: dict, suffix: str = "") -> dict:
+    """The values ``opts`` sets for fields of dataclass ``cls``, keyed by field name.
+
+    A field's key in ``opts`` is its name without ``suffix``; ``cls`` holds the
+    defaults of the fields ``opts`` leaves out.
+    """
+    return {f.name: opts[f.name.removesuffix(suffix)] for f in fields(cls)
+            if f.name.removesuffix(suffix) in opts}
 
 
 @dataclass
@@ -72,12 +93,7 @@ class CampaignConfig:
     # llm backend
     backend_kind: str = BACKEND_SCRIPTED
     reply_table_path: Path | None = None
-    endpoint: str | None = None
-    model: str | None = None
-    api_key_env: str = "SEARCHSIM_API_KEY"
-    timeout: float = 60.0
-    retries: int = 2
-    max_tokens: int | None = None
+    llm: BackendConfig = field(default_factory=BackendConfig)
     # prompts
     templates_dir: Path | None = None
     persona: Persona = field(default_factory=Persona)
@@ -95,81 +111,76 @@ class CampaignConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _typed(raw, "config", dict)
         base = path.parent
 
-        def _path(value: str | None) -> Path | None:
+        def _path(value, key: str) -> Path | None:
             if value is None:
                 return None
-            p = Path(value)
+            p = Path(_typed(value, key, str))
             return p if p.is_absolute() else base / p
 
-        collection = raw.get("collection", {})
+        collection, index_opts, session_opts, costs, llm_opts, persona_opts = (
+            _typed(raw.get(name, {}), name, dict)
+            for name in ("collection", "index", "session", "costs", "llm", "persona"))
         for key in ("corpus", "topics", "qrels"):
             if key not in collection:
                 raise ConfigError(f"config is missing collection.{key}")
-        index_opts = raw.get("index", {})
-        session_opts = raw.get("session", {})
-        costs = raw.get("costs", {})
-        llm_opts = raw.get("llm", {})
-        persona_opts = raw.get("persona", {})
+        users = _typed(raw.get("users", ["FTTC"]), "users", list)
         try:
-            users = [UserKind(u) for u in raw.get("users", ["FTTC"])]
+            users = [UserKind(u) for u in users]
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
         k1 = _convert(index_opts.get("k1", DEFAULT_K1), "index.k1", float)
         b = _convert(index_opts.get("b", DEFAULT_B), "index.b", float)
-        timeout = _convert(llm_opts.get("timeout", 60.0), "llm.timeout", float)
-        retries = _convert(llm_opts.get("retries", 2), "llm.retries", int)
         campaign_seed = _convert(raw.get("campaign_seed", 0), "campaign_seed", int)
         anomaly_threshold = _convert(raw.get("anomaly_threshold", 0), "anomaly_threshold", int)
+        llm_values = _given(BackendConfig, llm_opts)
+        for name, convert in (("timeout", float), ("retries", int)):
+            if name in llm_values:
+                llm_values[name] = _convert(llm_values[name], f"llm.{name}", convert)
         try:
-            # only the keys the file sets; SessionPolicy holds the defaults
-            policy_opts = {f.name: session_opts[f.name] for f in fields(SessionPolicy)
-                           if f.name in session_opts}
+            llm = BackendConfig(**llm_values)
+        except ValueError as exc:  # each message starts with the field name
+            raise ConfigError(f"llm.{exc}") from exc
+        try:
+            policy_opts = _given(SessionPolicy, session_opts)
             if "p_random" in policy_opts:
                 policy_opts["p_random"] = _convert(policy_opts["p_random"],
                                                    "session.p_random", float)
             if "stop_rule" in policy_opts:
-                policy_opts["stop_rule"] = SnippetStopRule(**policy_opts["stop_rule"])
+                policy_opts["stop_rule"] = SnippetStopRule(
+                    **_typed(policy_opts["stop_rule"], "session.stop_rule", dict))
             policy = SessionPolicy(**policy_opts)
-            cost_model = CostModel(
-                query_cost=_convert(costs.get("query", 10.0), "costs.query", float),
-                snippet_cost=_convert(costs.get("snippet", 3.0), "costs.snippet", float),
-                document_cost=_convert(costs.get("document", 20.0), "costs.document", float),
-                judgment_cost=_convert(costs.get("judgment", 5.0), "costs.judgment", float),
-            )
-            persona = Persona(**{f.name: _string(persona_opts[f.name], f"persona.{f.name}")
-                                 for f in fields(Persona) if f.name in persona_opts})
+            cost_model = CostModel(**{
+                name: _convert(value, f"costs.{name.removesuffix('_cost')}", float)
+                for name, value in _given(CostModel, costs, "_cost").items()})
+            persona = Persona(**{name: _typed(value, f"persona.{name}", str)
+                                 for name, value in _given(Persona, persona_opts).items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        output = raw.get("output_dir", "out")
         return cls(
-            corpus_path=_path(collection["corpus"]),
-            topics_path=_path(collection["topics"]),
-            qrels_path=_path(collection["qrels"]),
+            corpus_path=_path(collection["corpus"], "collection.corpus"),
+            topics_path=_path(collection["topics"], "collection.topics"),
+            qrels_path=_path(collection["qrels"], "collection.qrels"),
             corpus_format=collection.get("format", "trectext"),
             field_map=collection.get("field_map"),
             collection_name=collection.get("name", "collection"),
-            stopwords=bool(index_opts.get("stopwords", False)),
-            stem=bool(index_opts.get("stem", False)),
+            stopwords=_typed(index_opts.get("stopwords", False), "index.stopwords", bool),
+            stem=_typed(index_opts.get("stem", False), "index.stem", bool),
             k1=k1,
             b=b,
             users=users,
             policy=policy,
             cost_model=cost_model,
             backend_kind=llm_opts.get("backend", BACKEND_SCRIPTED),
-            reply_table_path=_path(llm_opts.get("reply_table")),
-            endpoint=llm_opts.get("endpoint"),
-            model=llm_opts.get("model"),
-            api_key_env=llm_opts.get("api_key_env", "SEARCHSIM_API_KEY"),
-            timeout=timeout,
-            retries=retries,
-            max_tokens=llm_opts.get("max_tokens"),
-            templates_dir=_path(raw.get("templates_dir")),
+            reply_table_path=_path(llm_opts.get("reply_table"), "llm.reply_table"),
+            llm=llm,
+            templates_dir=_path(raw.get("templates_dir"), "templates_dir"),
             persona=persona,
             campaign_seed=campaign_seed,
             anomaly_threshold=anomaly_threshold,
-            output_dir=Path(output),
+            output_dir=Path(_typed(raw.get("output_dir", "out"), "output_dir", str)),
         )
 
     # --- validation ------------------------------------------------------------
@@ -189,13 +200,13 @@ class CampaignConfig:
             problems.append(f"unknown corpus format {self.corpus_format!r}")
         if not simulate:
             return problems
-        if not self.users:
-            problems.append("no user kinds configured")
-        if UserKind.RND_STAR in self.users and UserKind.FTTC not in self.users:
-            problems.append("RND_STAR requires FTTC in the same campaign")
+        try:
+            validate_campaign_kinds(self.users)
+        except CampaignError as exc:
+            problems.append(str(exc))
         if self.backend_kind not in (BACKEND_SCRIPTED, BACKEND_HTTP):
             problems.append(f"unknown backend {self.backend_kind!r}")
-        if self.backend_kind == BACKEND_HTTP and not (self.endpoint and self.model):
+        if self.backend_kind == BACKEND_HTTP and not (self.llm.endpoint and self.llm.model):
             problems.append("http backend needs llm.endpoint and llm.model")
         if self.reply_table_path and not self.reply_table_path.is_file():
             problems.append(f"reply table not found: {self.reply_table_path}")
@@ -238,15 +249,12 @@ class CampaignConfig:
         if self.backend_kind == BACKEND_SCRIPTED:
             replies = load_reply_table(self.reply_table_path) if self.reply_table_path else None
             return ScriptedBackend(replies)
-        return HttpBackend(BackendConfig(endpoint=self.endpoint, model=self.model,
-                                         api_key_env=self.api_key_env,
-                                         timeout=self.timeout, retries=self.retries,
-                                         max_tokens=self.max_tokens))
+        return HttpBackend(self.llm)
 
     def make_templates(self) -> PromptTemplates:
         if self.templates_dir:
-            return PromptTemplates.load_dir(self.templates_dir)
-        return PromptTemplates.default()
+            return PromptTemplates.load_dir(self.templates_dir, self.persona)
+        return PromptTemplates.default(self.persona)
 
     def ordered_users(self) -> list[UserKind]:
         return validate_campaign_kinds(list(self.users))
@@ -272,25 +280,16 @@ class CampaignConfig:
             "index": {"stopwords": self.stopwords, "stem": self.stem,
                       "k1": self.k1, "b": self.b},
             "users": [u.value for u in self.users],
-            "session": {
-                "max_queries": self.policy.max_queries,
-                "page_size": self.policy.page_size,
-                "max_pages_per_query": self.policy.max_pages_per_query,
-                "stop_rule": [self.policy.stop_rule.kind, self.policy.stop_rule.value],
-                "queries_per_session": self.policy.queries_per_session,
-                "snippet_max_chars": self.policy.snippet_max_chars,
-                "p_random": self.policy.p_random,
-                "max_summary_words": self.policy.max_summary_words,
-            },
-            "costs": [self.cost_model.query_cost, self.cost_model.snippet_cost,
-                      self.cost_model.document_cost, self.cost_model.judgment_cost],
+            "session": {**asdict(self.policy),
+                        "stop_rule": list(astuple(self.policy.stop_rule))},
+            "costs": list(astuple(self.cost_model)),
             "llm": {
                 "backend": self.backend_kind,
-                "model": self.model,
-                "max_tokens": self.max_tokens,
+                "model": self.llm.model,
+                "max_tokens": self.llm.max_tokens,
                 "reply_table_sha256": _file_digest(self.reply_table_path),
             },
-            "persona": [self.persona.role_name, self.persona.instruction_preamble],
+            "persona": list(astuple(self.persona)),
             "templates": {name: templates.mapping[name]
                           for name in sorted(templates.mapping)},
             "campaign_seed": self.campaign_seed,

@@ -68,20 +68,33 @@ class ChatResponse:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
-    endpoint: str
-    model: str
+    """Settings of the HTTP client, fixed for a campaign and checked when built."""
+
+    endpoint: str | None = None
+    model: str | None = None
     api_key_env: str = "SEARCHSIM_API_KEY"
     timeout: float = 60.0
     retries: int = 2
     max_tokens: int | None = None  # applied when a request leaves its own unset
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        optional_str = (str, type(None))
+        for name, kind in (("endpoint", optional_str), ("model", optional_str),
+                           ("api_key_env", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a string, not {type(value).__name__}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout!r}")
         if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+            raise ValueError(f"retries must be >= 0, got {self.retries!r}")
+        if self.max_tokens is not None and (isinstance(self.max_tokens, bool)
+                                            or not isinstance(self.max_tokens, int)
+                                            or self.max_tokens < 1):
+            raise ValueError(f"max_tokens must be an integer >= 1 or null, "
+                             f"got {self.max_tokens!r}")
 
 
 def default_params(task: str) -> tuple[float, int]:
@@ -89,6 +102,7 @@ def default_params(task: str) -> tuple[float, int]:
     context-driven judgments and summaries at 0, fixed seed 0 throughout."""
     table = {
         TAG_QUERY_GENERATION: (1.0, 0),
+        TAG_FOLLOWUP_QUERY: (1.0, 0),
         TAG_RELEVANCE_JUDGMENT: (0.0, 0),
         TAG_SUMMARIZATION: (0.0, 0),
     }

@@ -20,7 +20,6 @@ from .agents import (
     LLM_KINDS,
     SUMMARY_SIDES,
     KnowledgeState,
-    Persona,
     PromptTemplates,
     QueryGenerationError,
     UserKind,
@@ -176,7 +175,6 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                 backend=None,
                 rng_seed: int = 0,
                 templates: PromptTemplates | None = None,
-                persona: Persona | None = None,
                 preset_queries: list[str] | None = None) -> SessionLog:
     """Run one simulated session and return its interaction log.
 
@@ -208,8 +206,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     def _decide(text: str) -> bool:
         if kind in LLM_KINDS:
             return decide_relevance_llm(backend, topic, kind, state, text,
-                                        templates=templates, persona=persona,
-                                        on_anomaly=_anomaly)
+                                        templates=templates, on_anomaly=_anomaly)
         return decide_relevance_random(rng, policy.p_random)
 
     def _end(reason: str) -> SessionLog:
@@ -225,8 +222,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
         else:
             pre = generate_initial_queries(backend, topic, kind,
                                            n_queries=policy.queries_per_session,
-                                           templates=templates, persona=persona,
-                                           on_anomaly=_anomaly)
+                                           templates=templates, on_anomaly=_anomaly)
     except BackendError as exc:
         _anomaly(f"backend failure before the first query: {exc}")
         return _end(END_BACKEND_FAILURE)
@@ -240,8 +236,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             return generate_query_naive(topic, rng, on_anomaly=_anomaly)
         if kind in FEEDBACK_KINDS and state.judged:
             return generate_followup_query(backend, topic, kind, state,
-                                           log.queries_issued,
-                                           templates=templates, persona=persona,
+                                           log.queries_issued, templates=templates,
                                            on_anomaly=_anomaly)
         if position < len(pre):
             return pre[position]
@@ -280,7 +275,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                         # summarize only a side that the kind's prompts read
                         if SUMMARY_SIDES[kind][0 if relevant else 1]:
                             update_knowledge_state(backend, state, document, relevant,
-                                                   templates=templates, persona=persona,
+                                                   templates=templates,
                                                    max_words=policy.max_summary_words,
                                                    on_anomaly=_anomaly)
                         else:
@@ -385,7 +380,6 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
                  cost_model: CostModel | None = None,
                  backend=None,
                  templates: PromptTemplates | None = None,
-                 persona: Persona | None = None,
                  campaign_seed: int = 0,
                  workers: int = 1) -> list[SessionLog]:
     """Run every (topic, kind) session; topics outer, kinds inner.
@@ -403,7 +397,7 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
         return run_session(topic, kind, index, qrels, policy=policy,
                            cost_model=cost_model, backend=backend,
                            rng_seed=derive_session_seed(campaign_seed, topic.topic_id, kind),
-                           templates=templates, persona=persona, preset_queries=preset)
+                           templates=templates, preset_queries=preset)
 
     first_wave = [(t, k) for t in topics for k in kinds if k is not UserKind.RND_STAR]
     results = {(t.topic_id, k): log

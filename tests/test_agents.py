@@ -396,7 +396,7 @@ class TestTemplates:
     def test_persona_in_system_message(self, toy_topic):
         persona = Persona(role_name="archivist", instruction_preamble="You file things.")
         messages = build_initial_queries_prompt(toy_topic, UserKind.FTTC, 3,
-                                                persona=persona)
+                                                templates=PromptTemplates.default(persona))
         assert messages[0].role == "system"
         assert "archivist" in messages[0].content
         assert "You file things." in messages[0].content

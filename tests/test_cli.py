@@ -177,8 +177,17 @@ class TestCmdSimulate:
         ("index.b", "x"),
         ("campaign_seed", "x"),
         ("anomaly_threshold", "many"),
+        ("index.stem", "false"),
+        ("index.stopwords", "no"),
+        ("output_dir", 5),
+        ("collection.corpus", 5),
+        ("users", "FTTC"),
         ("llm.timeout", "soon"),
         ("llm.retries", "twice"),
+        ("llm.timeout", 0),
+        ("llm.retries", -1),
+        ("llm.max_tokens", "lots"),
+        ("llm.model", 5),
         ("costs.query", "cheap"),
         ("session.p_random", "often"),
         ("persona.role_name", 5),
@@ -198,9 +207,10 @@ class TestCmdSimulate:
             assert main([command, "--config", str(config_path)]) == 1
             assert key in capsys.readouterr().err
 
-    def test_rnd_star_without_fttc_fails_validation(self, tmp_path):
+    def test_rnd_star_without_fttc_fails_validation(self, tmp_path, capsys):
         config_path = write_config(tmp_path, users=("RND_STAR",))
         assert main(["simulate", "--config", str(config_path)]) == 1
+        assert "FTTC" in capsys.readouterr().err
 
     def test_anomalies_over_threshold_exit_code(self, tmp_path):
         replies = tmp_path / "replies.tsv"

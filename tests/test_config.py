@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
+from searchsim.agents import Persona
 from searchsim.config import CampaignConfig, ConfigError
 from searchsim.fixtures import fixture_path
+from searchsim.session import CostModel, SessionPolicy, SnippetStopRule
 
 
 # (session key, value) pairs that the loader must reject, naming the key
@@ -56,6 +59,10 @@ class TestFromFile:
         raw["users"] = ["FTTC", "SUPERUSER"]
         with pytest.raises(ConfigError, match="SUPERUSER"):
             CampaignConfig.from_file(write_raw(tmp_path, raw))
+
+    def test_config_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="config must be a JSON object, not list"):
+            CampaignConfig.from_file(write_raw(tmp_path, [minimal_raw()]))
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -114,3 +121,27 @@ class TestValidate:
         config = CampaignConfig.from_file(fixture_path("campaign.json"))
         assert config.semantic_hash() == (
             "76aa86be6387a16481d1d7bc9e0ca2dc1a3dbec51c1e6ee976058ba4de99dade")
+
+
+def _another_valid(value):
+    if isinstance(value, SnippetStopRule):
+        return replace(value, value=value.value - 1)
+    if isinstance(value, str):
+        return value + " again"
+    if isinstance(value, float):
+        return value / 2  # keeps p_random in [0, 1]
+    return value + 1
+
+
+@pytest.mark.parametrize("part, name", [
+    (part, f.name)
+    for part, cls in (("policy", SessionPolicy), ("cost_model", CostModel),
+                      ("persona", Persona))
+    for f in fields(cls)
+])
+def test_every_session_cost_and_persona_field_changes_the_hash(part, name):
+    config = CampaignConfig.from_file(fixture_path("campaign.json"))
+    before = config.semantic_hash()
+    settings = getattr(config, part)
+    setattr(config, part, replace(settings, **{name: _another_valid(getattr(settings, name))}))
+    assert config.semantic_hash() != before
