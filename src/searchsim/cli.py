@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
         topics = config.load_topics()
         qrels = config.load_qrels()
         backend = config.make_backend()
-        logs = run_campaign(topics, config.ordered_users(), index, qrels,
+        logs = run_campaign(topics, config.users, index, qrels,
                             policy=config.policy, cost_model=config.cost_model,
                             backend=backend, templates=config.make_templates(),
                             campaign_seed=config.campaign_seed, workers=args.workers)

@@ -51,6 +51,14 @@ def _convert(value, key: str, convert):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _cost(value) -> float:
+    """``value`` as a float that CostModel accepts: not negative."""
+    value = float(value)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 _JSON_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
                bool: "true or false"}
 
@@ -153,7 +161,7 @@ class CampaignConfig:
                     **_typed(policy_opts["stop_rule"], "session.stop_rule", dict))
             policy = SessionPolicy(**policy_opts)
             cost_model = CostModel(**{
-                name: _convert(value, f"costs.{name.removesuffix('_cost')}", float)
+                name: _convert(value, f"costs.{name.removesuffix('_cost')}", _cost)
                 for name, value in _given(CostModel, costs, "_cost").items()})
             persona = Persona(**{name: _typed(value, f"persona.{name}", str)
                                  for name, value in _given(Persona, persona_opts).items()})
@@ -255,9 +263,6 @@ class CampaignConfig:
         if self.templates_dir:
             return PromptTemplates.load_dir(self.templates_dir, self.persona)
         return PromptTemplates.default(self.persona)
-
-    def ordered_users(self) -> list[UserKind]:
-        return validate_campaign_kinds(list(self.users))
 
     # --- semantic hash -------------------------------------------------------------
 

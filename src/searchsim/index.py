@@ -106,9 +106,6 @@ class InvertedIndex:
     def document(self, doc_id: str) -> Document:
         return self.documents[self._by_id[doc_id]]
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
     def impacts(self, term: str) -> list[tuple[int, float]]:
         """(doc_ordinal, bm25_score) for each posting of an indexed term."""
         impacts = self._impacts.get(term)
@@ -148,9 +145,6 @@ class Serp:
     page: int
     results: list[tuple[int, str, float]]
     snippets: list[str]
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 def build_index(documents: list[Document], *, stopwords: frozenset[str] | None = None,
@@ -220,19 +214,15 @@ def rank_documents(index: InvertedIndex, query: str, depth: int) -> list[tuple[i
 
 
 def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10, *,
-           snippet_max_chars: int = 160,
-           ranking: list[tuple[int, float]] | None = None) -> Serp:
+           snippet_max_chars: int = 160) -> Serp:
     """Rank the query against the index and return one page of results.
 
-    A query with no indexed terms yields an empty page. A caller that pages
-    through one query passes ``ranking``, the result of
-    ``rank_documents(index, query, depth)`` for a depth of at least
-    ``page * page_size``, so that the query is scored once for all its pages.
+    A query with no indexed terms yields an empty page. The query is ranked
+    to a depth of ``page * page_size``, so its pages are slices of one ranking.
     """
     if page < 1 or page_size < 1:
         raise ValueError("page and page_size must be >= 1")
-    if ranking is None:
-        ranking = rank_documents(index, query, page * page_size)
+    ranking = rank_documents(index, query, page * page_size)
     start = (page - 1) * page_size
     rows = ranking[start:start + page_size]
     doc_ids = index.doc_ids

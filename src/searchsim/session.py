@@ -31,7 +31,7 @@ from .agents import (
     update_knowledge_state,
 )
 from .corpus import QrelSet, Topic
-from .index import MIN_SNIPPET_CHARS, InvertedIndex, rank_documents, search
+from .index import MIN_SNIPPET_CHARS, InvertedIndex, search
 from .llm import BackendError
 
 # Interaction kinds
@@ -195,7 +195,6 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     rng = random.Random(rng_seed)
     log = SessionLog(topic_id=topic.topic_id, user_kind=kind, seed=rng_seed)
     state = KnowledgeState()
-    judged_docs: set[str] = set()
 
     def _log(kind_: str, cost_: float, **payload) -> None:
         log.interactions.append(Interaction(len(log.interactions), kind_, cost_, payload))
@@ -209,28 +208,6 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
                                         templates=templates, on_anomaly=_anomaly)
         return decide_relevance_random(rng, policy.p_random)
 
-    def _end(reason: str) -> SessionLog:
-        _log(SESSION_ENDED, 0.0, reason=reason)
-        return log
-
-    try:
-        if kind is UserKind.RND:
-            pre: list[str] = []
-        elif kind is UserKind.RND_STAR:
-            # an empty preset (degraded FTTC run) exhausts immediately
-            pre = list(preset_queries)
-        else:
-            pre = generate_initial_queries(backend, topic, kind,
-                                           n_queries=policy.queries_per_session,
-                                           templates=templates, on_anomaly=_anomaly)
-    except BackendError as exc:
-        _anomaly(f"backend failure before the first query: {exc}")
-        return _end(END_BACKEND_FAILURE)
-    except QueryGenerationError as exc:
-        _anomaly(str(exc))
-        return _end(END_QUERY_GENERATION_FAILURE)
-    log.initial_queries = list(pre)
-
     def _next_query(position: int) -> str | None:
         if kind is UserKind.RND:
             return generate_query_naive(topic, rng, on_anomaly=_anomaly)
@@ -238,55 +215,52 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             return generate_followup_query(backend, topic, kind, state,
                                            log.queries_issued, templates=templates,
                                            on_anomaly=_anomaly)
-        if position < len(pre):
-            return pre[position]
+        if position < len(log.initial_queries):
+            return log.initial_queries[position]
         return None
 
     def _scan(query: str) -> None:
+        rule = policy.stop_rule
         viewed = 0
         consecutive = 0
-        # scored once, to the deepest page the policy can reach
-        ranking = rank_documents(index, query, policy.max_pages_per_query * policy.page_size)
-        for page in range(1, policy.max_pages_per_query + 1):
-            serp = search(index, query, page, policy.page_size,
-                          snippet_max_chars=policy.snippet_max_chars, ranking=ranking)
-            if not serp.results:
+        # one ranked list, as deep as the policy's pages reach
+        serp = search(index, query, 1, policy.page_size * policy.max_pages_per_query,
+                      snippet_max_chars=policy.snippet_max_chars)
+        for (rank, doc_id, _score), snippet in zip(serp.results, serp.snippets):
+            if doc_id in state.judged:
+                continue  # re-encountered in a later SERP: skip without cost
+            if (viewed if rule.kind == FIXED_DEPTH else consecutive) >= rule.value:
                 return
-            for (rank, doc_id, _score), snippet in zip(serp.results, serp.snippets):
-                if doc_id in judged_docs:
-                    continue  # re-encountered in a later SERP: skip without cost
-                if policy.stop_rule.kind == FIXED_DEPTH and viewed >= policy.stop_rule.value:
-                    return
-                if (policy.stop_rule.kind == CONSECUTIVE_IRRELEVANT
-                        and consecutive >= policy.stop_rule.value):
-                    return
-                _log(SNIPPET_VIEWED, cost.snippet_cost, doc_id=doc_id, rank=rank)
-                viewed += 1
-                judged_relevant = False
-                if _decide(snippet):
-                    document = index.document(doc_id)
-                    _log(DOCUMENT_VIEWED, cost.document_cost, doc_id=doc_id)
-                    relevant = _decide(document.full_text())
-                    grade = qrels.grade(topic.topic_id, doc_id)
-                    _log(JUDGMENT_MADE, cost.judgment_cost, doc_id=doc_id,
-                         relevant=relevant, grade=grade)
-                    judged_docs.add(doc_id)
-                    if kind in FEEDBACK_KINDS:
-                        # summarize only a side that the kind's prompts read
-                        if SUMMARY_SIDES[kind][0 if relevant else 1]:
-                            update_knowledge_state(backend, state, document, relevant,
-                                                   templates=templates,
-                                                   max_words=policy.max_summary_words,
-                                                   on_anomaly=_anomaly)
-                        else:
-                            state.record(doc_id, document.full_text(), relevant)
-                    judged_relevant = relevant
-                consecutive = 0 if judged_relevant else consecutive + 1
-            if len(serp.results) < policy.page_size:
-                return
+            _log(SNIPPET_VIEWED, cost.snippet_cost, doc_id=doc_id, rank=rank)
+            viewed += 1
+            relevant = False
+            if _decide(snippet):
+                document = index.document(doc_id)
+                text = document.full_text()
+                _log(DOCUMENT_VIEWED, cost.document_cost, doc_id=doc_id)
+                relevant = _decide(text)
+                grade = qrels.grade(topic.topic_id, doc_id)
+                _log(JUDGMENT_MADE, cost.judgment_cost, doc_id=doc_id,
+                     relevant=relevant, grade=grade)
+                # summarize only a side that the kind's prompts read
+                if SUMMARY_SIDES[kind][0 if relevant else 1]:
+                    update_knowledge_state(backend, state, document, relevant,
+                                           templates=templates,
+                                           max_words=policy.max_summary_words,
+                                           on_anomaly=_anomaly)
+                else:
+                    state.record(doc_id, text, relevant)
+            consecutive = 0 if relevant else consecutive + 1
 
     reason = END_MAX_QUERIES
     try:
+        if kind is UserKind.RND_STAR:
+            # an empty preset (degraded FTTC run) exhausts immediately
+            log.initial_queries = list(preset_queries)
+        elif kind is not UserKind.RND:
+            log.initial_queries = generate_initial_queries(
+                backend, topic, kind, n_queries=policy.queries_per_session,
+                templates=templates, on_anomaly=_anomaly)
         for position in range(policy.max_queries):
             query = _next_query(position)
             if query is None:
@@ -296,12 +270,14 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             _log(QUERY_ISSUED, cost.query_cost, query=query)
             _scan(query)
     except BackendError as exc:
-        _anomaly(f"backend failure: {exc}")
+        where = "" if log.queries_issued else " before the first query"
+        _anomaly(f"backend failure{where}: {exc}")
         reason = END_BACKEND_FAILURE
     except QueryGenerationError as exc:
         _anomaly(str(exc))
         reason = END_QUERY_GENERATION_FAILURE
-    return _end(reason)
+    _log(SESSION_ENDED, 0.0, reason=reason)
+    return log
 
 
 # --- campaigns ------------------------------------------------------------------

@@ -189,6 +189,7 @@ class TestCmdSimulate:
         ("llm.max_tokens", "lots"),
         ("llm.model", 5),
         ("costs.query", "cheap"),
+        ("costs.query", -1),
         ("session.p_random", "often"),
         ("persona.role_name", 5),
         ("persona.instruction_preamble", ["be brief"]),

@@ -293,16 +293,14 @@ class TestSearch:
         for worker in (0, 1):
             assert got[worker] == expected
 
-    def test_pages_from_one_ranking_equal_pages_ranked_alone(self, fixture_collection):
+    def test_pages_are_slices_of_one_deep_search(self, fixture_collection):
         docs, _, _ = fixture_collection
         index = build_index(docs)
         for query in ("wind permits", "beekeeping hives", "no such words"):
-            ranking = rank_documents(index, query, 4 * 3)
-            for page in range(1, 5):
-                alone = search(index, query, page, 3)
-                assert search(index, query, page, 3, ranking=ranking) == alone
-            assert [ordinal for ordinal, _ in ranking] == [
-                index.doc_ids.index(doc_id) for _, doc_id, _ in search(index, query, 1, 12).results]
+            deep = search(index, query, 1, 12)
+            pages = [search(index, query, page, 3) for page in range(1, 5)]
+            assert [row for serp in pages for row in serp.results] == deep.results
+            assert [snippet for serp in pages for snippet in serp.snippets] == deep.snippets
 
     def test_ties_at_the_cutoff_equal_brute_force_pages(self):
         # 4 documents score above 20 that tie on "alpha"; every depth cuts
@@ -334,12 +332,10 @@ class TestSearch:
             return real(document, query, max_chars)
 
         monkeypatch.setattr(searchsim.index, "make_snippet", counting)
-        ranking = rank_documents(index, "the city council", 12)
         for page in range(1, 6):
-            for given in (None, ranking):
-                calls.clear()
-                serp = search(index, "the city council", page, 4, ranking=given)
-                assert calls == [doc_id for _, doc_id, _ in serp.results]
+            calls.clear()
+            serp = search(index, "the city council", page, 4)
+            assert calls == [doc_id for _, doc_id, _ in serp.results]
 
     def test_determinism_bit_identical(self, fixture_collection):
         docs, _, _ = fixture_collection

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from dataclasses import replace
 
 import pytest
 
+import searchsim.index
 import searchsim.session
 from searchsim.agents import UserKind
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
@@ -18,6 +20,7 @@ from searchsim.session import (
     END_BACKEND_FAILURE,
     END_MAX_QUERIES,
     END_QUERIES_EXHAUSTED,
+    FIXED_DEPTH,
     JUDGMENT_MADE,
     QUERY_ISSUED,
     SESSION_ENDED,
@@ -202,21 +205,27 @@ class TestRunSessionTraces:
     def test_ranks_once_per_issued_query(self, fixture_collection, monkeypatch, kind):
         docs, topics, qrels = fixture_collection
         index = build_index(docs)
-        calls = []
-        real = searchsim.session.rank_documents
+        ranked, searched = [], []
+        real_rank, real_search = searchsim.index.rank_documents, searchsim.session.search
 
-        def counting(index, query, depth):
-            calls.append(query)
-            return real(index, query, depth)
+        def counting_rank(index, query, depth):
+            ranked.append(query)
+            return real_rank(index, query, depth)
 
-        monkeypatch.setattr(searchsim.session, "rank_documents", counting)
+        def counting_search(index, query, *args, **kwargs):
+            searched.append(query)
+            return real_search(index, query, *args, **kwargs)
+
+        monkeypatch.setattr(searchsim.index, "rank_documents", counting_rank)
+        monkeypatch.setattr(searchsim.session, "search", counting_search)
         log = run_session(topics[0], kind, index, qrels, backend=ScriptedBackend(),
                           policy=SessionPolicy(max_queries=3, page_size=3,
                                                max_pages_per_query=2,
                                                queries_per_session=3))
         issued = [it.payload["query"] for it in log.interactions if it.kind == QUERY_ISSUED]
         assert len(issued) == 3
-        assert calls == issued
+        assert ranked == issued
+        assert searched == issued
 
 
 class TestSummaryRequests:
@@ -348,6 +357,70 @@ class TestSessionProperties:
             assert restored.queries_issued == log.queries_issued
             assert restored.interactions == log.interactions
             assert session_log_to_jsonl(restored) == session_log_to_jsonl(log)
+
+
+class _FailsOnCall:
+    """Wraps a backend and raises BackendError on its ``n``-th request."""
+
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.left = n
+
+    def complete(self, request):
+        self.left -= 1
+        if self.left == 0:
+            raise BackendError("outage on a counted request")
+        return self.inner.complete(request)
+
+
+class TestPinnedSessionLogs:
+    # sha256 of the LLM requests and JSONL logs of the sessions below,
+    # recorded when each query's pages were still fetched one search per page
+    FUZZED_LOGS_SHA256 = "892ff1d92b30df94a9654bbdb33237cdca5d53b15bfa72299fc81e24c10a7b03"
+
+    def test_fuzzed_session_logs_hash_is_pinned(self):
+        rng = random.Random(20261018)
+        words = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen", "owl", "yak"]
+        digest = hashlib.sha256()
+        past_page_one = 0
+        kinds = [k for k in UserKind if k is not UserKind.RND_STAR]
+        for _ in range(320):
+            docs = [Document(doc_id=f"d{i:02d}",
+                             body=" ".join(rng.choice(words)
+                                           for _ in range(rng.randrange(3, 20))))
+                    for i in range(rng.randrange(4, 30))]
+            index = build_index(docs)
+            topic = Topic(topic_id=str(rng.randrange(100)),
+                          title=" ".join(rng.sample(words, 3)),
+                          description=" ".join(rng.sample(words, 4)))
+            qrels = QrelSet({(topic.topic_id, d.doc_id): rng.randrange(0, 3)
+                             for d in docs if rng.random() < 0.6})
+            page_size = rng.randrange(1, 6)
+            max_pages = rng.randrange(1, 5)
+            if rng.random() < 0.5:
+                rule = SnippetStopRule(FIXED_DEPTH,
+                                       rng.randrange(1, page_size * max_pages + 1))
+            else:
+                rule = SnippetStopRule(CONSECUTIVE_IRRELEVANT, rng.randrange(1, 6))
+            policy = SessionPolicy(max_queries=rng.randrange(1, 5), page_size=page_size,
+                                   max_pages_per_query=max_pages, stop_rule=rule,
+                                   queries_per_session=rng.randrange(1, 5))
+            kind = rng.choice(kinds)
+            # initial queries from the collection's words, so LLM users read results
+            backend = ScriptedBackend({"Output only the numbered queries": "\n".join(
+                f"{i}. {' '.join(rng.sample(words, 2))}" for i in range(1, 5))})
+            if rng.random() < 0.3:
+                backend = _FailsOnCall(backend, rng.randrange(1, 20))
+            backend = CapturingBackend(backend)
+            log = run_session(topic, kind, index, qrels, policy=policy, backend=backend,
+                              rng_seed=rng.randrange(10_000))
+            for request in backend.requests:
+                digest.update(f"{request.tag}|{request.prompt_text()}\n".encode("utf-8"))
+            past_page_one += any(it.kind == SNIPPET_VIEWED and it.payload["rank"] > page_size
+                                 for it in log.interactions)
+            digest.update(session_log_to_jsonl(log))
+        assert past_page_one > 0
+        assert digest.hexdigest() == self.FUZZED_LOGS_SHA256
 
 
 class TestPolicyValidation:
