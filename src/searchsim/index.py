@@ -1,13 +1,12 @@
 """In-memory inverted index with BM25 ranking, result paging, and snippets."""
 from __future__ import annotations
 
-import gc
 import heapq
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 from .corpus import Document
@@ -64,6 +63,8 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None, stem: bool = Fa
 class InvertedIndex:
     """Postings and documents plus the BM25 options fixed at build time.
 
+    Each term's postings are one flat ``[ordinal, tf, ordinal, tf, ...]``
+    list with ordinals ascending, the list the on-disk format stores.
     ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are derived from the documents
     and their lengths, and so is each document's BM25 length norm. BM25
     contributions are computed once per term on first use; the cache
@@ -71,7 +72,7 @@ class InvertedIndex:
     sessions may share one index.
     """
 
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)], ordinals ascending
+    postings: dict[str, list[int]]  # term -> [doc_ordinal, tf, doc_ordinal, tf, ...]
     doc_lengths: list[int]
     documents: list[Document]
     stopwords: frozenset[str] | None = None
@@ -97,7 +98,7 @@ class InvertedIndex:
                        for doc_len in self.doc_lengths]
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        return len(self.postings.get(term, ())) // 2
 
     @property
     def vocabulary_size(self) -> int:
@@ -110,15 +111,15 @@ class InvertedIndex:
         """(doc_ordinal, bm25_score) for each posting of an indexed term."""
         impacts = self._impacts.get(term)
         if impacts is None:
-            plist = self.postings[term]
-            df = len(plist)
+            flat = self.postings[term]
+            df = len(flat) // 2
             # bm25_score's float operations in its order, so each impact is
             # the same float, with idf and the length norms computed once
             idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
             k1_plus_1 = self.k1 + 1.0
             norms = self._norms
             impacts = [(ordinal, idf * (tf * k1_plus_1) / (tf + norms[ordinal]) if tf else 0.0)
-                       for ordinal, tf in plist]
+                       for ordinal, tf in zip(flat[::2], flat[1::2])]
             # a thread that lost the race uses the list published first
             impacts = self._impacts.setdefault(term, impacts)
         return impacts
@@ -155,7 +156,7 @@ def build_index(documents: list[Document], *, stopwords: frozenset[str] | None =
     The BM25 parameters ``k1`` and ``b`` are stored with the index and used
     by every search against it.
     """
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, list[int]] = {}
     doc_lengths: list[int] = []
     seen: set[str] = set()
     for ordinal, doc in enumerate(documents):
@@ -164,11 +165,8 @@ def build_index(documents: list[Document], *, stopwords: frozenset[str] | None =
         seen.add(doc.doc_id)
         tokens = tokenize(doc.title or "", stopwords, stem) + tokenize(doc.body, stopwords, stem)
         doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term in sorted(counts):
-            postings.setdefault(term, []).append((ordinal, counts[term]))
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, []).extend((ordinal, tf))
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, documents=list(documents),
                          stopwords=stopwords, stem=stem, k1=k1, b=b)
 
@@ -306,8 +304,7 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
         "k1": index.k1,
         "b": index.b,
         "doc_lengths": index.doc_lengths,
-        # one flat [ordinal, tf, ordinal, tf, ...] list per term
-        "postings": {t: list(chain.from_iterable(plist)) for t, plist in index.postings.items()},
+        "postings": index.postings,
         "documents": [
             {"doc_id": d.doc_id, "title": d.title, "body": d.body, "source": d.source}
             for d in index.documents
@@ -327,32 +324,28 @@ def index_from_bytes(data: bytes) -> InvertedIndex:
     if payload.get("version") != _FORMAT_VERSION:
         raise IndexFormatError(f"index format version {payload.get('version')} is not "
                                f"supported (expected {_FORMAT_VERSION}); {_REBUILD}")
-    # Hundreds of thousands of postings tuples are created below and none
-    # forms a cycle; with the collector on, their allocation triggers full
-    # collections that rescan the growing heap, which took over half the load
-    # time of a 4000-document index.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
                               source=d["source"]) for d in payload["documents"]]
         stopwords = payload["stopwords"]
         doc_lengths = payload["doc_lengths"]
         n_docs = len(doc_lengths)
-        if len(documents) != n_docs or min(doc_lengths, default=0) < 0:
-            raise ValueError("doc_lengths must hold one non-negative length per document")
-        postings = {}
+        # a sum of JSON numbers is an int only when every one of them is
+        if (len(documents) != n_docs or min(doc_lengths, default=0) < 0
+                or type(sum(doc_lengths)) is not int):
+            raise ValueError("doc_lengths must hold one non-negative integer per document")
         # build_index writes none of the values refused here; impacts and the
         # document lookups rely on that rather than checking every search
         for term, flat in payload["postings"].items():
+            if len(flat) % 2 or type(sum(flat)) is not int:
+                raise ValueError(f"term {term!r}: postings are not integer [ordinal, tf] pairs")
             ordinals, tfs = flat[::2], flat[1::2]
             if ordinals and (len(ordinals) > n_docs or min(ordinals) < 0
                              or max(ordinals) >= n_docs or min(tfs) < 0):
                 raise ValueError(f"term {term!r}: df above n_docs, a document ordinal "
                                  f"outside [0, {n_docs}) or a negative tf")
-            postings[term] = list(zip(ordinals, tfs))
         return InvertedIndex(
-            postings=postings,
+            postings=payload["postings"],
             doc_lengths=doc_lengths,
             documents=documents,
             stopwords=frozenset(stopwords) if stopwords else None,
@@ -362,9 +355,6 @@ def index_from_bytes(data: bytes) -> InvertedIndex:
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise IndexFormatError(f"malformed index file ({exc!r}); {_REBUILD}") from exc
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

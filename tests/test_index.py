@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import random
@@ -96,8 +97,8 @@ class TestTokenize:
 class TestBuildIndex:
     def test_single_doc_postings(self):
         index = build_index([Document(doc_id="d", body="a b a")])
-        assert index.postings["a"] == [(0, 2)]
-        assert index.postings["b"] == [(0, 1)]
+        assert index.postings["a"] == [0, 2]
+        assert index.postings["b"] == [0, 1]
         assert index.doc_lengths == [3]
         assert index.avg_doc_len == 3.0
 
@@ -125,12 +126,16 @@ class TestBuildIndex:
         with pytest.raises(IndexBuildError):
             build_index(docs)
 
-    def test_freed_without_the_cycle_collector(self, toy_docs):
+    @pytest.mark.parametrize("make", [
+        build_index,
+        lambda docs: index_from_bytes(index_to_bytes(build_index(docs))),
+    ], ids=["built", "loaded"])
+    def test_freed_without_the_cycle_collector(self, toy_docs, make):
         # a reference cycle would keep a used index (and its caches) alive
         # until a full collection, beside the next index a process loads
         gc.disable()
         try:
-            index = build_index(toy_docs)
+            index = make(toy_docs)
             search(index, "apples market")
             ref = weakref.ref(index)
             del index
@@ -140,8 +145,11 @@ class TestBuildIndex:
 
     def test_postings_sorted_by_ordinal(self, toy_docs):
         index = build_index(toy_docs)
-        for plist in index.postings.values():
-            assert plist == sorted(plist)
+        for term, flat in index.postings.items():
+            assert len(flat) % 2 == 0, term
+            ordinals, tfs = flat[::2], flat[1::2]
+            assert all(a < b for a, b in zip(ordinals, ordinals[1:])), term
+            assert min(tfs) >= 1, term
 
 
 class TestBm25Score:
@@ -183,12 +191,14 @@ class TestImpacts:
     def test_impacts_equal_bm25_score_exactly(self, fixture_collection, k1, b):
         docs, _, _ = fixture_collection
         index = build_index(docs, k1=k1, b=b)
-        for term, plist in index.postings.items():
-            df = len(plist)
+        for term, flat in index.postings.items():
+            pairs = list(zip(flat[::2], flat[1::2]))
+            df = len(pairs)
+            assert 2 * df == len(flat) and df == index.df(term), term
             assert index.impacts(term) == [
                 (ordinal, bm25_score(tf, df, index.doc_lengths[ordinal], index.avg_doc_len,
                                      index.n_docs, k1, b))
-                for ordinal, tf in plist], term
+                for ordinal, tf in pairs], term
 
 
 class TestSearch:
@@ -433,6 +443,20 @@ class TestSerialization:
         docs, _, _ = fixture_collection
         assert index_to_bytes(build_index(docs)) == index_to_bytes(build_index(docs))
 
+    # sha256 of the version 2 bytes, recorded when postings were still held
+    # as (ordinal, tf) tuples in memory; a new digest means the on-disk
+    # format moved, and its version with it
+    @pytest.mark.parametrize("options, digest", [
+        ({}, "361f5101071f11605e5781c87feb2d9c34d8bf5049de3e1d756407beb8721921"),
+        ({"stopwords": ENGLISH_STOPWORDS, "stem": True, "k1": 0.9, "b": 0.4},
+         "f516d3e2e6f29392919e8d3ef9f6346ca1024039053af74f305de523cc0ad44b"),
+    ], ids=["defaults", "stopwords stem k1 b"])
+    def test_bytes_are_pinned(self, fixture_collection, options, digest):
+        docs, _, _ = fixture_collection
+        data = index_to_bytes(build_index(docs, **options))
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert index_to_bytes(index_from_bytes(data)) == data
+
     def test_bad_format_rejected(self):
         with pytest.raises(IndexFormatError):
             index_from_bytes(b'{"format": "something-else"}')
@@ -465,8 +489,12 @@ class TestSerialization:
         lambda payload: payload["postings"].update(apples=[0, 2, 1, 1, 2, 1, 0, 1]),
         lambda payload: payload["postings"].update(apples=[-1, 1]),
         lambda payload: payload["postings"].update(apples=[0, 2, 7, 1]),
+        lambda payload: payload["postings"].update(apples=[0, 2, 1]),
+        lambda payload: payload["postings"].update(apples=[0, 1.5, 1, 1]),
+        lambda payload: payload["doc_lengths"].__setitem__(1, 2.5),
     ], ids=["negative tf", "negative doc length", "more lengths than documents",
-            "df above n_docs", "negative ordinal", "ordinal past the last document"])
+            "df above n_docs", "negative ordinal", "ordinal past the last document",
+            "odd-length postings", "float tf", "float doc length"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
         payload = json.loads(index_to_bytes(build_index(toy_docs)))
         corrupt(payload)
