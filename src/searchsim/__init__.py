@@ -8,7 +8,6 @@ from .agents import (
     KnowledgeState,
     Persona,
     PromptTemplates,
-    TopicContext,
     UserKind,
 )
 from .corpus import (

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import logging
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -58,30 +59,9 @@ class UserKind(str, Enum):
 
 
 RANDOM_KINDS = frozenset({UserKind.RND, UserKind.RND_STAR})
-FEEDBACK_KINDS = frozenset({UserKind.PRF, UserKind.NRF, UserKind.CRF, UserKind.CRF_PRIME})
-LLM_KINDS = frozenset({UserKind.TTT, UserKind.FTTC}) | FEEDBACK_KINDS
-
-
-@dataclass(frozen=True)
-class TopicContext:
-    include_title: bool = True
-    include_description: bool = True
-    include_narrative: bool = True
-
-
-_TITLE_ONLY = TopicContext(True, False, False)
-_FULL = TopicContext(True, True, True)
-
-TOPIC_CONTEXT: dict[UserKind, TopicContext] = {
-    UserKind.RND: _FULL,  # used for naive-query vocabulary, not prompts
-    UserKind.RND_STAR: _FULL,
-    UserKind.TTT: _TITLE_ONLY,
-    UserKind.FTTC: _FULL,
-    UserKind.PRF: _FULL,
-    UserKind.NRF: _FULL,
-    UserKind.CRF: _FULL,
-    UserKind.CRF_PRIME: _TITLE_ONLY,
-}
+LLM_KINDS = frozenset(UserKind) - RANDOM_KINDS
+# prompts show the topic title only; every other kind adds description and narrative
+TITLE_ONLY_KINDS = frozenset({UserKind.TTT, UserKind.CRF_PRIME})
 
 # kind -> (relevant summary in prompt, irrelevant summary in prompt)
 SUMMARY_SIDES: dict[UserKind, tuple[bool, bool]] = {
@@ -94,6 +74,7 @@ SUMMARY_SIDES: dict[UserKind, tuple[bool, bool]] = {
     UserKind.CRF: (True, True),
     UserKind.CRF_PRIME: (True, True),
 }
+FEEDBACK_KINDS = frozenset(kind for kind, sides in SUMMARY_SIDES.items() if any(sides))
 
 DEFAULT_PERSONA_PREAMBLE = (
     "You research news archives to collect material for in-depth reporting, "
@@ -121,15 +102,34 @@ class PromptTemplates:
     Optional blocks (topic fields, summaries) arrive pre-rendered with their
     labels, or as empty strings when excluded, so a single template serves
     every user kind. The system message depends only on the persona (default:
-    ``Persona()``), so it is rendered once, into ``system``.
+    ``Persona()``), so it is rendered once, into ``system``. A missing
+    template or a placeholder outside ``FIELDS`` raises ``ValueError``.
     """
 
-    REQUIRED = ("system", "initial_queries", "judge", "followup_query", "summarize")
+    _CONTEXT = ("title", "description", "narrative", "relevant_summary", "irrelevant_summary")
+    # template -> the placeholders it may use
+    FIELDS = {
+        "system": frozenset({"role_name", "instruction_preamble"}),
+        "initial_queries": frozenset({*_CONTEXT, "n_queries"}),
+        "judge": frozenset({*_CONTEXT, "document"}),
+        "followup_query": frozenset({*_CONTEXT, "past_queries"}),
+        "summarize": frozenset({"polarity", "max_words", "documents"}),
+    }
+    REQUIRED = tuple(FIELDS)
 
     def __init__(self, mapping: dict[str, str], persona: Persona | None = None):
         missing = [name for name in self.REQUIRED if name not in mapping]
         if missing:
             raise ValueError(f"missing templates: {', '.join(missing)}")
+        for name, allowed in self.FIELDS.items():
+            try:
+                used = {f for _, f, _, _ in string.Formatter().parse(mapping[name])}
+            except ValueError as exc:  # an unmatched brace
+                raise ValueError(f"template {name!r}: {exc}") from exc
+            unknown = sorted(used - allowed - {None})
+            if unknown:
+                raise ValueError(f"template {name!r} has unknown placeholders: "
+                                 f"{', '.join(unknown)}")
         self.mapping = dict(mapping)
         persona = persona or Persona()
         self.system = self.render("system", role_name=persona.role_name,
@@ -143,18 +143,10 @@ class PromptTemplates:
 
     @classmethod
     def default(cls, persona: Persona | None = None) -> "PromptTemplates":
-        root = resources.files(__package__) / "templates"
-        mapping = {
-            name: (root / f"{name}.txt").read_text(encoding="utf-8")
-            for name in cls.REQUIRED
-        }
-        return cls(mapping, persona)
+        return cls.load_dir(resources.files(__package__) / "templates", persona)
 
     def render(self, name: str, **values: str) -> str:
-        try:
-            return self.mapping[name].format(**values)
-        except KeyError as exc:
-            raise KeyError(f"template {name!r} needs a value for {exc}") from exc
+        return self.mapping[name].format(**values)
 
 
 @functools.cache
@@ -166,52 +158,39 @@ def default_templates() -> PromptTemplates:
 class KnowledgeState:
     """What the user has judged so far, plus running summaries per side."""
 
-    relevant_docs_seen: list[str] = field(default_factory=list)
-    irrelevant_docs_seen: list[str] = field(default_factory=list)
     relevant_summary: str | None = None
     irrelevant_summary: str | None = None
-    judged: dict[str, bool] = field(default_factory=dict)  # doc_id -> judged relevant
+    judged: dict[str, bool] = field(default_factory=dict)  # doc_id -> relevant, in judgment order
     _texts: dict[str, str] = field(default_factory=dict, repr=False)
 
     def record(self, doc_id: str, text: str, relevant: bool) -> None:
         if doc_id in self.judged:
             raise ValueError(f"document {doc_id!r} was already judged")
         self.judged[doc_id] = relevant
-        (self.relevant_docs_seen if relevant else self.irrelevant_docs_seen).append(doc_id)
         self._texts[doc_id] = text
 
     def texts_for(self, relevant: bool) -> list[str]:
-        ids = self.relevant_docs_seen if relevant else self.irrelevant_docs_seen
-        return [self._texts[d] for d in ids]
+        """The texts judged on one side, in judgment order."""
+        return [self._texts[d] for d, r in self.judged.items() if r == relevant]
 
 
 # --- prompt assembly ----------------------------------------------------------
 
-def _topic_fields(topic: Topic, ctx: TopicContext) -> dict[str, str]:
-    return {
-        "title": f"Title: {topic.title}\n" if ctx.include_title else "",
-        "description": (
-            f"Description: {topic.description}\n"
-            if ctx.include_description and topic.description else ""
-        ),
-        "narrative": (
-            f"Narrative: {topic.narrative}\n"
-            if ctx.include_narrative and topic.narrative else ""
-        ),
+def _context(topic: Topic, kind: UserKind, state: KnowledgeState | None) -> dict[str, str]:
+    """The topic and summary placeholders of ``kind``'s prompts, labelled or empty."""
+    full = kind not in TITLE_ONLY_KINDS
+    values = {
+        "title": f"Title: {topic.title}\n",
+        "description": f"Description: {topic.description}\n"
+                       if full and topic.description else "",
+        "narrative": f"Narrative: {topic.narrative}\n" if full and topic.narrative else "",
     }
-
-
-def _summary_fields(state: KnowledgeState | None, kind: UserKind) -> dict[str, str]:
-    want_rel, want_irr = SUMMARY_SIDES[kind]
-    rel = irr = ""
-    if state is not None:
-        if want_rel and state.relevant_summary:
-            rel = ("Summary of the results you previously judged relevant:\n"
-                   f"{state.relevant_summary}\n")
-        if want_irr and state.irrelevant_summary:
-            irr = ("Summary of the results you previously judged irrelevant:\n"
-                   f"{state.irrelevant_summary}\n")
-    return {"relevant_summary": rel, "irrelevant_summary": irr}
+    for side, wanted in zip(("relevant", "irrelevant"), SUMMARY_SIDES[kind]):
+        summary = wanted and state is not None and getattr(state, f"{side}_summary")
+        values[f"{side}_summary"] = (
+            f"Summary of the results you previously judged {side}:\n{summary}\n"
+            if summary else "")
+    return values
 
 
 def _messages(templates: PromptTemplates | None, name: str,
@@ -224,40 +203,33 @@ def _messages(templates: PromptTemplates | None, name: str,
 def build_initial_queries_prompt(topic: Topic, kind: UserKind, n_queries: int, *,
                                  templates: PromptTemplates | None = None
                                  ) -> tuple[ChatMessage, ...]:
-    values = _topic_fields(topic, TOPIC_CONTEXT[kind])
-    values["n_queries"] = str(n_queries)
-    return _messages(templates, "initial_queries", values)
+    return _messages(templates, "initial_queries",
+                     {**_context(topic, kind, None), "n_queries": str(n_queries)})
 
 
 def build_judge_prompt(topic: Topic, kind: UserKind, state: KnowledgeState | None,
                        document_text: str, *,
                        templates: PromptTemplates | None = None) -> tuple[ChatMessage, ...]:
-    values = _topic_fields(topic, TOPIC_CONTEXT[kind])
-    values.update(_summary_fields(state, kind))
-    values["document"] = document_text
-    return _messages(templates, "judge", values)
+    return _messages(templates, "judge",
+                     {**_context(topic, kind, state), "document": document_text})
 
 
 def build_followup_prompt(topic: Topic, kind: UserKind, state: KnowledgeState,
                           past_queries: list[str], *,
                           templates: PromptTemplates | None = None
                           ) -> tuple[ChatMessage, ...]:
-    values = _topic_fields(topic, TOPIC_CONTEXT[kind])
-    values.update(_summary_fields(state, kind))
-    values["past_queries"] = "\n".join(f"{i}. {q}" for i, q in enumerate(past_queries, 1))
-    return _messages(templates, "followup_query", values)
+    numbered = "\n".join(f"{i}. {q}" for i, q in enumerate(past_queries, 1))
+    return _messages(templates, "followup_query",
+                     {**_context(topic, kind, state), "past_queries": numbered})
 
 
 def build_summarize_prompt(texts: list[str], relevant: bool, *, max_words: int = 200,
                            templates: PromptTemplates | None = None
                            ) -> tuple[ChatMessage, ...]:
     blocks = "\n\n".join(f"Article {i}:\n{t}" for i, t in enumerate(texts, 1))
-    values = {
-        "polarity": "relevant" if relevant else "irrelevant",
-        "max_words": str(max_words),
-        "documents": blocks,
-    }
-    return _messages(templates, "summarize", values)
+    polarity = "relevant" if relevant else "irrelevant"
+    return _messages(templates, "summarize",
+                     {"polarity": polarity, "max_words": str(max_words), "documents": blocks})
 
 
 # --- reply parsing --------------------------------------------------------------
@@ -325,7 +297,7 @@ def generate_initial_queries(backend, topic: Topic, kind: UserKind, *,
     """One up-front LLM call producing the session's query list.
 
     Feedback users start from the same kind of list as FTTC; only the amount
-    of topic context in the prompt differs (per TOPIC_CONTEXT).
+    of topic context in the prompt differs (per TITLE_ONLY_KINDS).
     """
     if kind not in LLM_KINDS:
         raise ValueError(f"{kind.value} does not generate queries with the LLM")

@@ -220,6 +220,11 @@ class CampaignConfig:
             problems.append(f"reply table not found: {self.reply_table_path}")
         if self.templates_dir and not self.templates_dir.is_dir():
             problems.append(f"templates dir not found: {self.templates_dir}")
+        else:
+            try:
+                self.make_templates()
+            except (OSError, ValueError) as exc:
+                problems.append(f"templates: {exc}")
         return problems
 
     # --- builders ---------------------------------------------------------------

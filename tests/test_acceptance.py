@@ -17,7 +17,6 @@ import pytest
 
 from searchsim.agents import (
     RANDOM_KINDS,
-    TOPIC_CONTEXT,
     UserKind,
     decide_relevance_random,
     generate_query_naive,
@@ -147,7 +146,7 @@ class TestCriterion04PromptMatrix:
             if kind in RANDOM_KINDS:
                 continue
             log, backend, topic = self.run_captured(collection, kind)
-            ctx = TOPIC_CONTEXT[kind]
+            full = kind not in (UserKind.TTT, UserKind.CRF_PRIME)
             judged = [it.payload["relevant"] for it in log.interactions
                       if it.kind == JUDGMENT_MADE]
             assert judged, f"{kind.value} made no judgments; matrix not exercised"
@@ -162,9 +161,9 @@ class TestCriterion04PromptMatrix:
                 prompt = request.prompt_text()
                 if request.tag == "summarization":
                     continue  # summaries are the payload there, not context
-                assert (topic.title in prompt) is ctx.include_title, kind
-                assert (topic.description in prompt) is ctx.include_description, kind
-                assert (topic.narrative in prompt) is ctx.include_narrative, kind
+                assert topic.title in prompt, kind
+                assert (topic.description in prompt) is full, kind
+                assert (topic.narrative in prompt) is full, kind
                 if RELEVANT_MARKER in prompt:
                     assert want_rel, f"{kind.value} leaked a relevant summary"
                     seen_rel = True

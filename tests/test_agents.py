@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import searchsim
 from searchsim.agents import (
     FEEDBACK_KINDS,
     LLM_KINDS,
-    TOPIC_CONTEXT,
+    RANDOM_KINDS,
+    TITLE_ONLY_KINDS,
     KnowledgeState,
     Persona,
     PromptTemplates,
     QueryGenerationError,
     UserKind,
+    build_followup_prompt,
     build_initial_queries_prompt,
     build_judge_prompt,
+    build_summarize_prompt,
     decide_relevance_llm,
     decide_relevance_random,
     generate_followup_query,
@@ -230,6 +238,11 @@ class TestJudgePrompts:
                                  None, "doc")
 
 
+def seen(state, relevant):
+    """The documents judged on one side, in judgment order."""
+    return [d for d, r in state.judged.items() if r == relevant]
+
+
 class TestKnowledgeState:
     def doc(self, doc_id, body):
         return Document(doc_id=doc_id, body=body)
@@ -240,8 +253,8 @@ class TestKnowledgeState:
                                self.doc("d1", "body one"), True)
         assert state.relevant_summary == "a tidy summary"
         assert state.irrelevant_summary is None
-        assert state.relevant_docs_seen == ["d1"]
-        assert state.irrelevant_docs_seen == []
+        assert seen(state, True) == ["d1"]
+        assert seen(state, False) == []
         assert state.judged == {"d1": True}
 
     def test_double_judgment_rejected(self):
@@ -280,7 +293,7 @@ class TestKnowledgeState:
         update_knowledge_state(FailingBackend(), state, self.doc("d2", "b2"), True,
                                on_anomaly=anomalies.append)
         assert state.relevant_summary == "first summary"
-        assert state.relevant_docs_seen == ["d1", "d2"]
+        assert seen(state, True) == ["d1", "d2"]
         assert anomalies
 
     def test_seen_lists_disjoint_and_order_preserving_fuzzed(self):
@@ -294,9 +307,9 @@ class TestKnowledgeState:
                 doc_id = f"d{i}"
                 (expected_rel if relevant else expected_irr).append(doc_id)
                 update_knowledge_state(backend, state, self.doc(doc_id, f"b{i}"), relevant)
-            assert state.relevant_docs_seen == expected_rel
-            assert state.irrelevant_docs_seen == expected_irr
-            assert not set(state.relevant_docs_seen) & set(state.irrelevant_docs_seen)
+            assert seen(state, True) == expected_rel
+            assert seen(state, False) == expected_irr
+            assert not set(seen(state, True)) & set(seen(state, False))
             assert set(state.judged) == set(expected_rel) | set(expected_irr)
 
 
@@ -376,6 +389,35 @@ class TestTemplates:
         with pytest.raises(ValueError, match="judge"):
             PromptTemplates({"system": "x"})
 
+    def test_packaged_template_set_is_exactly_the_required_one(self):
+        root = Path(searchsim.__file__).parent / "templates"
+        assert sorted(f.name for f in root.iterdir() if f.is_file()) == \
+            sorted(f"{name}.txt" for name in PromptTemplates.REQUIRED)
+        assert PromptTemplates.default().mapping == PromptTemplates.load_dir(root).mapping
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("initial_queries", "{title}{document}{n_queries}",
+         "template 'initial_queries' has unknown placeholders: document"),
+        ("system", "You are a {role_name} {}", "template 'system' has unknown placeholders: "),
+        ("followup_query", "{title\n{past_queries}", "template 'followup_query': "),
+    ], ids=["task_field_of_another_template", "positional", "unmatched_brace"])
+    def test_bad_placeholder_rejected(self, name, text, message):
+        mapping = dict(PromptTemplates.default().mapping)
+        mapping[name] = text
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PromptTemplates(mapping)
+
+    def test_topic_templates_may_use_every_context_placeholder(self, toy_topic):
+        mapping = dict(PromptTemplates.default().mapping)
+        mapping["initial_queries"] = ("{title}{description}{narrative}{relevant_summary}"
+                                      "{irrelevant_summary}{n_queries}")
+        messages = build_initial_queries_prompt(toy_topic, UserKind.CRF, 2,
+                                                templates=PromptTemplates(mapping))
+        # no judgment precedes the initial prompt, so its summary fields are empty
+        assert messages[-1].content == (f"Title: {toy_topic.title}\n"
+                                        f"Description: {toy_topic.description}\n"
+                                        f"Narrative: {toy_topic.narrative}\n2")
+
     def test_load_dir_roundtrip(self, tmp_path):
         defaults = PromptTemplates.default()
         for name, text in defaults.mapping.items():
@@ -408,20 +450,60 @@ class TestTemplates:
 
 class TestKindTables:
     def test_topic_context_table(self):
-        assert TOPIC_CONTEXT[UserKind.TTT].include_description is False
-        assert TOPIC_CONTEXT[UserKind.CRF_PRIME].include_description is False
-        for kind in (UserKind.FTTC, UserKind.PRF, UserKind.NRF, UserKind.CRF):
-            ctx = TOPIC_CONTEXT[kind]
-            assert ctx.include_title and ctx.include_description and ctx.include_narrative
+        assert TITLE_ONLY_KINDS == {UserKind.TTT, UserKind.CRF_PRIME}
 
     def test_kind_partitions(self):
         assert len(UserKind) == 8
-        assert FEEDBACK_KINDS <= LLM_KINDS
-        assert UserKind.RND not in LLM_KINDS
-        assert UserKind.RND_STAR not in LLM_KINDS
+        assert RANDOM_KINDS == {UserKind.RND, UserKind.RND_STAR}
+        assert LLM_KINDS == {UserKind.TTT, UserKind.FTTC, UserKind.PRF, UserKind.NRF,
+                             UserKind.CRF, UserKind.CRF_PRIME}
+        assert FEEDBACK_KINDS == {UserKind.PRF, UserKind.NRF, UserKind.CRF,
+                                  UserKind.CRF_PRIME}
 
     def test_scripted_end_to_end_determinism(self, toy_topic):
         backend = ScriptedBackend()
         a = generate_initial_queries(backend, toy_topic, UserKind.CRF, n_queries=5)
         b = generate_initial_queries(ScriptedBackend(), toy_topic, UserKind.CRF, n_queries=5)
         assert a == b
+
+
+class TestPromptMatrixPin:
+    """One sha256 over every prompt the builders make for the six LLM kinds.
+
+    Each kind is rendered against four knowledge states (no summary, relevant
+    only, irrelevant only, both), so a summary the kind does not read is
+    covered too, and against a topic with and one without description and
+    narrative. The summarization prompt is included for both polarities.
+    """
+
+    DIGEST = "84fd92fb7028ed535cc81b502b86b2a0e3d0be5c368885a2ee48c47d17465856"
+
+    def states(self):
+        states = []
+        for rel, irr in ((None, None), ("rel summary", None), (None, "irr summary"),
+                         ("rel summary", "irr summary")):
+            state = KnowledgeState()
+            state.record("d1", "text one", True)
+            state.record("d2", "text two", False)
+            state.relevant_summary, state.irrelevant_summary = rel, irr
+            states.append(state)
+        return states
+
+    def test_prompt_matrix_is_pinned(self, toy_topic):
+        bare = Topic(topic_id="402", title="hive permits", description="", narrative="")
+        llm_kinds = [k for k in UserKind if k not in (UserKind.RND, UserKind.RND_STAR)]
+        prompts = []
+        for topic in (toy_topic, bare):
+            for kind in llm_kinds:
+                prompts.append(build_initial_queries_prompt(topic, kind, 4))
+                prompts.append(build_judge_prompt(topic, kind, None, "the document"))
+                prompts.append(build_followup_prompt(topic, kind, KnowledgeState(), ["q1"]))
+                for state in self.states():
+                    prompts.append(build_judge_prompt(topic, kind, state, "the document"))
+                    prompts.append(build_followup_prompt(topic, kind, state,
+                                                         ["q1", "q2"]))
+        for relevant in (True, False):
+            prompts.append(build_summarize_prompt(["one", "two"], relevant, max_words=50))
+        payload = json.dumps([[[m.role, m.content] for m in p] for p in prompts])
+        assert len(prompts) == 2 * 6 * 11 + 2
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.DIGEST

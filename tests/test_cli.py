@@ -9,7 +9,7 @@ from searchsim.cli import main
 from searchsim.config import CampaignConfig
 from searchsim.fixtures import fixture_path
 from searchsim.metrics import aggregate_curves, information_gain_curve
-from searchsim.agents import UserKind
+from searchsim.agents import PromptTemplates, UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
 
 from test_config import BAD_SESSION_VALUES
@@ -207,6 +207,33 @@ class TestCmdSimulate:
             capsys.readouterr()
             assert main([command, "--config", str(config_path)]) == 1
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("judge", None, "templates: missing templates: judge"),
+        ("judge", "{title}{doc_title}\n{document}",
+         "templates: template 'judge' has unknown placeholders: doc_title"),
+        ("summarize", "{documents} in {doc_count} words",
+         "templates: template 'summarize' has unknown placeholders: doc_count"),
+    ], ids=["missing_judge", "judge_doc_title", "summarize_doc_count"])
+    def test_bad_templates_dir_fails_validation_before_any_session(
+            self, tmp_path, capsys, name, text, message):
+        templates_dir = tmp_path / "templates"
+        templates_dir.mkdir()
+        for stem, body in PromptTemplates.default().mapping.items():
+            (templates_dir / f"{stem}.txt").write_text(body, encoding="utf-8")
+        if text is None:
+            (templates_dir / f"{name}.txt").unlink()
+        else:
+            (templates_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+        config_path = write_config(tmp_path, users=("FTTC", "CRF"))
+        config = json.loads(config_path.read_text())
+        config["templates_dir"] = str(templates_dir)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["index", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "logs").exists()
 
     def test_rnd_star_without_fttc_fails_validation(self, tmp_path, capsys):
         config_path = write_config(tmp_path, users=("RND_STAR",))
