@@ -96,6 +96,15 @@ class QueryGenerationError(RuntimeError):
     """The backend's reply could not be parsed into queries, even on retry."""
 
 
+def _placeholders(template: str):
+    """The field names of a format string, with those nested in format specs."""
+    for _, name, spec, _ in string.Formatter().parse(template):
+        if name is not None:
+            yield name
+        if spec:
+            yield from _placeholders(spec)
+
+
 class PromptTemplates:
     """Plain-text prompt templates with named placeholders, for one persona.
 
@@ -103,7 +112,8 @@ class PromptTemplates:
     labels, or as empty strings when excluded, so a single template serves
     every user kind. The system message depends only on the persona (default:
     ``Persona()``), so it is rendered once, into ``system``. A missing
-    template or a placeholder outside ``FIELDS`` raises ``ValueError``.
+    template or a placeholder outside ``FIELDS``, also one nested in a
+    format spec, raises ``ValueError``.
     """
 
     _CONTEXT = ("title", "description", "narrative", "relevant_summary", "irrelevant_summary")
@@ -123,10 +133,10 @@ class PromptTemplates:
             raise ValueError(f"missing templates: {', '.join(missing)}")
         for name, allowed in self.FIELDS.items():
             try:
-                used = {f for _, f, _, _ in string.Formatter().parse(mapping[name])}
+                used = set(_placeholders(mapping[name]))
             except ValueError as exc:  # an unmatched brace
                 raise ValueError(f"template {name!r}: {exc}") from exc
-            unknown = sorted(used - allowed - {None})
+            unknown = sorted(used - allowed)
             if unknown:
                 raise ValueError(f"template {name!r} has unknown placeholders: "
                                  f"{', '.join(unknown)}")
@@ -137,8 +147,10 @@ class PromptTemplates:
 
     @classmethod
     def load_dir(cls, path: str | Path, persona: Persona | None = None) -> "PromptTemplates":
+        """The templates named in ``FIELDS`` from ``<name>.txt`` files in ``path``."""
         path = Path(path)
-        mapping = {f.stem: f.read_text(encoding="utf-8") for f in sorted(path.glob("*.txt"))}
+        mapping = {name: (path / f"{name}.txt").read_text(encoding="utf-8")
+                   for name in cls.FIELDS if (path / f"{name}.txt").is_file()}
         return cls(mapping, persona)
 
     @classmethod

@@ -126,6 +126,8 @@ def cmd_simulate(args) -> int:
                                 config_hash=config_hash)
     except CampaignError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
+    except IndexFormatError as exc:  # a term's postings, refused on first use
+        return _fail(f"{index_path}: {exc}", EXIT_VALIDATION)
     except Exception as exc:
         return _fail(f"simulation failed: {exc}", EXIT_RUNTIME)
     anomalies = sum(log.anomaly_count for log in logs)

@@ -1,11 +1,17 @@
 """In-memory inverted index with BM25 ranking, result paging, and snippets."""
 from __future__ import annotations
 
+import array
 import heapq
 import json
 import math
+import mmap
+import operator
+import os
 import re
+import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,15 +70,15 @@ class InvertedIndex:
     """Postings and documents plus the BM25 options fixed at build time.
 
     Each term's postings are one flat ``[ordinal, tf, ordinal, tf, ...]``
-    list with ordinals ascending, the list the on-disk format stores.
-    ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are derived from the documents
-    and their lengths, and so is each document's BM25 length norm. BM25
-    contributions are computed once per term on first use; the cache
-    publishes finished lists only and never changes them, so concurrent
-    sessions may share one index.
+    sequence with ordinals strictly ascending: a list when built, an unsigned
+    ``array`` when loaded. ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are
+    derived from the documents and their lengths, and so is each document's
+    BM25 length norm. BM25 contributions are computed once per term on first
+    use; the cache publishes finished lists only and never changes them, so
+    concurrent sessions may share one index.
     """
 
-    postings: dict[str, list[int]]  # term -> [doc_ordinal, tf, doc_ordinal, tf, ...]
+    postings: dict[str, Sequence[int]]  # term -> [doc_ordinal, tf, doc_ordinal, tf, ...]
     doc_lengths: list[int]
     documents: list[Document]
     stopwords: frozenset[str] | None = None
@@ -112,14 +118,20 @@ class InvertedIndex:
         impacts = self._impacts.get(term)
         if impacts is None:
             flat = self.postings[term]
-            df = len(flat) // 2
+            ordinals = flat[::2]
+            # a loaded file may repeat or reorder ordinals; index_from_bytes
+            # leaves this walk to the first use of each term
+            if not all(map(operator.lt, ordinals, ordinals[1:])):
+                raise IndexFormatError(f"term {term!r}: document ordinals are not "
+                                       f"strictly ascending; {_REBUILD}")
+            df = len(ordinals)
             # bm25_score's float operations in its order, so each impact is
             # the same float, with idf and the length norms computed once
             idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
             k1_plus_1 = self.k1 + 1.0
             norms = self._norms
             impacts = [(ordinal, idf * (tf * k1_plus_1) / (tf + norms[ordinal]) if tf else 0.0)
-                       for ordinal, tf in zip(flat[::2], flat[1::2])]
+                       for ordinal, tf in zip(ordinals, flat[1::2])]
             # a thread that lost the race uses the list published first
             impacts = self._impacts.setdefault(term, impacts)
         return impacts
@@ -291,67 +303,108 @@ def _first_query_token(body: str, qterms: set[str]) -> tuple[int, int]:
 # --- on-disk form -------------------------------------------------------------
 
 _FORMAT_NAME = "searchsim.index"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+# the unsigned array types a block may use, narrowest first
+_TYPECODES = ("B", "H", "I")
 _REBUILD = "rerun `searchsim index` to rebuild it"
 
 
+def _packed(values: Sequence[int], typecode: str) -> bytes:
+    packed = array.array(typecode, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
 def index_to_bytes(index: InvertedIndex) -> bytes:
-    payload = {
+    """One JSON header line, then one little-endian unsigned integer block:
+    the document lengths, then each term's [ordinal, tf, ...] in term order,
+    in the narrowest array type that holds the largest value."""
+    postings = index.postings
+    terms = sorted(postings)
+    largest = max(max(index.doc_lengths, default=0), max(map(max, postings.values()), default=0))
+    typecode = next((t for t in _TYPECODES if largest < 256 ** array.array(t).itemsize),
+                    _TYPECODES[-1])
+    header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
+        "typecode": typecode,
+        "itemsize": array.array(typecode).itemsize,
         "stopwords": sorted(index.stopwords) if index.stopwords else None,
         "stem": index.stem,
         "k1": index.k1,
         "b": index.b,
-        "doc_lengths": index.doc_lengths,
-        "postings": index.postings,
         "documents": [
             {"doc_id": d.doc_id, "title": d.title, "body": d.body, "source": d.source}
             for d in index.documents
         ],
+        "terms": terms,
+        "df": [len(postings[term]) // 2 for term in terms],
     }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False,
+    head = json.dumps(header, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":")).encode("utf-8")
+    return b"".join([head, b"\n", _packed(index.doc_lengths, typecode),
+                     *(_packed(postings[term], typecode) for term in terms)])
 
 
-def index_from_bytes(data: bytes) -> InvertedIndex:
+def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
+    view = memoryview(data)
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)  # a version 1 or 2 file is one JSON document
     try:
-        payload = json.loads(data.decode("utf-8"))
+        header = json.loads(str(view[:end], "utf-8"))
     except ValueError as exc:
         raise IndexFormatError(f"not an index file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise IndexFormatError("unrecognized index format")
-    if payload.get("version") != _FORMAT_VERSION:
-        raise IndexFormatError(f"index format version {payload.get('version')} is not "
+    if header.get("version") != _FORMAT_VERSION:
+        raise IndexFormatError(f"index format version {header.get('version')} is not "
                                f"supported (expected {_FORMAT_VERSION}); {_REBUILD}")
     try:
         documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
-                              source=d["source"]) for d in payload["documents"]]
-        stopwords = payload["stopwords"]
-        doc_lengths = payload["doc_lengths"]
-        n_docs = len(doc_lengths)
-        # a sum of JSON numbers is an int only when every one of them is
-        if (len(documents) != n_docs or min(doc_lengths, default=0) < 0
-                or type(sum(doc_lengths)) is not int):
-            raise ValueError("doc_lengths must hold one non-negative integer per document")
-        # build_index writes none of the values refused here; impacts and the
-        # document lookups rely on that rather than checking every search
-        for term, flat in payload["postings"].items():
-            if len(flat) % 2 or type(sum(flat)) is not int:
-                raise ValueError(f"term {term!r}: postings are not integer [ordinal, tf] pairs")
-            ordinals, tfs = flat[::2], flat[1::2]
-            if ordinals and (len(ordinals) > n_docs or min(ordinals) < 0
-                             or max(ordinals) >= n_docs or min(tfs) < 0):
-                raise ValueError(f"term {term!r}: df above n_docs, a document ordinal "
-                                 f"outside [0, {n_docs}) or a negative tf")
+                              source=d["source"]) for d in header["documents"]]
+        stopwords = header["stopwords"]
+        typecode, itemsize = header["typecode"], header["itemsize"]
+        if typecode not in _TYPECODES or array.array(typecode).itemsize != itemsize:
+            raise ValueError(f"unknown block typecode {typecode!r} of {itemsize!r} bytes")
+        terms, dfs = header["terms"], header["df"]
+        n_docs = len(documents)
+        # a bool is an int, and true would pass the range check
+        if len(dfs) != len(terms) or not all(type(df) is int and 0 < df <= n_docs
+                                             for df in dfs):
+            raise ValueError(f"df must hold one integer in [1, {n_docs}] per term")
+        block = view[end + 1:]
+        expected = (n_docs + 2 * sum(dfs)) * itemsize
+        if len(block) != expected:
+            raise ValueError(f"the block holds {len(block)} bytes, not the "
+                             f"{expected} its header gives")
+        values = array.array(typecode)
+        values.frombytes(block)
+        if sys.byteorder == "big":
+            values.byteswap()
+        postings: dict[str, Sequence[int]] = {}
+        start = n_docs
+        for term, df in zip(terms, dfs):
+            postings[term] = values[start:start + 2 * df]
+            start += 2 * df
+        # the block cannot hold a negative value or a non-integer. Past the
+        # lengths it is [ordinal, tf] pairs throughout, so one strided max
+        # checks the ordinals of every term; impacts refuses ordinals that
+        # are not strictly ascending on a term's first use
+        if len(values) > n_docs and max(values[n_docs::2]) >= n_docs:
+            term = next(t for t, flat in postings.items() if max(flat[::2]) >= n_docs)
+            raise ValueError(f"term {term!r}: a document ordinal outside [0, {n_docs})")
+        if len(postings) != len(terms):
+            raise ValueError("a term is listed twice")
         return InvertedIndex(
-            postings=payload["postings"],
-            doc_lengths=doc_lengths,
+            postings=postings,
+            doc_lengths=values[:n_docs].tolist(),
             documents=documents,
             stopwords=frozenset(stopwords) if stopwords else None,
-            stem=bool(payload["stem"]),
-            k1=float(payload["k1"]),
-            b=float(payload["b"]),
+            stem=bool(header["stem"]),
+            k1=float(header["k1"]),
+            b=float(header["b"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise IndexFormatError(f"malformed index file ({exc!r}); {_REBUILD}") from exc
@@ -362,4 +415,13 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    return index_from_bytes(Path(path).read_bytes())
+    # The file is read into an anonymous mapping, which goes back to the
+    # system when the load is done. A heap buffer of that size, once freed,
+    # can stay with the process under what was allocated after it.
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if not size:
+            return index_from_bytes(b"")
+        data = mmap.mmap(-1, size)
+        f.readinto(data)
+    return index_from_bytes(data)

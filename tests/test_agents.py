@@ -400,7 +400,9 @@ class TestTemplates:
          "template 'initial_queries' has unknown placeholders: document"),
         ("system", "You are a {role_name} {}", "template 'system' has unknown placeholders: "),
         ("followup_query", "{title\n{past_queries}", "template 'followup_query': "),
-    ], ids=["task_field_of_another_template", "positional", "unmatched_brace"])
+        ("judge", "{title}{document:{width}}", "template 'judge' has unknown placeholders: width"),
+    ], ids=["task_field_of_another_template", "positional", "unmatched_brace",
+            "nested_in_format_spec"])
     def test_bad_placeholder_rejected(self, name, text, message):
         mapping = dict(PromptTemplates.default().mapping)
         mapping[name] = text

@@ -13,6 +13,7 @@ from searchsim.agents import PromptTemplates, UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
 
 from test_config import BAD_SESSION_VALUES
+from test_index import edit_v3, v2_file, v3_parts
 
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
@@ -128,16 +129,30 @@ class TestCmdSimulate:
         assert main(["index", "--config", str(config_path)]) == 0
         assert main(["simulate", "--config", str(config_path)]) == 0
 
-    def test_version_1_index_fails_validation_with_rebuild_message(self, tmp_path, capsys):
+    def test_version_2_index_fails_validation_with_rebuild_message(self, tmp_path, capsys):
         config_path = write_config(tmp_path, users=("RND",))
         assert main(["index", "--config", str(config_path)]) == 0
         index_path = tmp_path / "out" / "index.json"
-        payload = json.loads(index_path.read_text(encoding="utf-8"))
-        payload["version"] = 1
-        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        index_path.write_bytes(v2_file(index_path.read_bytes()))
         capsys.readouterr()
         assert main(["simulate", "--config", str(config_path)]) == 1
         assert "rerun `searchsim index`" in capsys.readouterr().err
+
+    def test_unordered_postings_fail_validation_naming_the_index(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        assert main(["index", "--config", str(config_path)]) == 0
+        index_path = tmp_path / "out" / "index.json"
+        data = index_path.read_bytes()
+        _, _, postings = v3_parts(data)
+        # every term in two or more documents repeats its first ordinal
+        repeated = {term: flat[:2] * 2 + flat[4:] for term, flat in postings.items()
+                    if len(flat) >= 4}
+        index_path.write_bytes(edit_v3(data, postings=repeated))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {index_path}: term " in err and "strictly ascending" in err
+        assert not (tmp_path / "out" / "logs").exists()
 
     def test_rnd_star_queries_match_fttc_in_written_logs(self, tmp_path):
         config_path = write_config(tmp_path, users=("FTTC", "RND_STAR"))
@@ -214,7 +229,9 @@ class TestCmdSimulate:
          "templates: template 'judge' has unknown placeholders: doc_title"),
         ("summarize", "{documents} in {doc_count} words",
          "templates: template 'summarize' has unknown placeholders: doc_count"),
-    ], ids=["missing_judge", "judge_doc_title", "summarize_doc_count"])
+        ("judge", "{title}\n{document:{width}}",
+         "templates: template 'judge' has unknown placeholders: width"),
+    ], ids=["missing_judge", "judge_doc_title", "summarize_doc_count", "judge_nested_spec"])
     def test_bad_templates_dir_fails_validation_before_any_session(
             self, tmp_path, capsys, name, text, message):
         templates_dir = tmp_path / "templates"
@@ -447,6 +464,20 @@ class TestConfigHash:
         base = CampaignConfig.from_file(write_config(tmp_path))
         moved = CampaignConfig.from_file(write_config(tmp_path, out="elsewhere"))
         assert base.semantic_hash() == moved.semantic_hash()
+
+    def test_unused_template_file_does_not_change_hash(self, tmp_path):
+        shipped = CampaignConfig.from_file(write_config(tmp_path)).semantic_hash()
+        templates_dir = tmp_path / "templates"
+        templates_dir.mkdir()
+        for stem, body in PromptTemplates.default().mapping.items():
+            (templates_dir / f"{stem}.txt").write_text(body, encoding="utf-8")
+        config_path = write_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["templates_dir"] = str(templates_dir)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert CampaignConfig.from_file(config_path).semantic_hash() == shipped
+        (templates_dir / "notes.txt").write_text("not a prompt {x}", encoding="utf-8")
+        assert CampaignConfig.from_file(config_path).semantic_hash() == shipped
 
     def test_collection_content_changes_hash(self, tmp_path):
         config_path = write_config(tmp_path)

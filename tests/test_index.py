@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import array
 import gc
 import hashlib
 import json
@@ -61,6 +62,57 @@ def brute_force_search(docs, query, k1=1.2, b=0.75, stopwords=None, stem=False):
             scored.append((doc.doc_id, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored
+
+
+def v3_parts(data: bytes):
+    """A version 3 index file as (header, doc lengths, {term: flat postings})."""
+    head, _, block = data.partition(b"\n")
+    header = json.loads(head)
+    values = array.array(header["typecode"])
+    values.frombytes(block)
+    if sys.byteorder == "big":
+        values.byteswap()
+    values = values.tolist()
+    n_docs = len(header["documents"])
+    postings, start = {}, n_docs
+    for term, df in zip(header["terms"], header["df"]):
+        postings[term] = values[start:start + 2 * df]
+        start += 2 * df
+    return header, values[:n_docs], postings
+
+
+def v3_file(header: dict, lengths: list, postings: dict) -> bytes:
+    """Pack the parts into a version 3 file as given, the block in the
+    header's typecode, little-endian."""
+    block = array.array(header["typecode"], lengths)
+    for flat in postings.values():
+        block.extend(array.array(header["typecode"], flat))
+    if sys.byteorder == "big":
+        block.byteswap()
+    head = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return head.encode("utf-8") + b"\n" + block.tobytes()
+
+
+def edit_v3(data: bytes, *, header=None, lengths=None, postings=None, df=None) -> bytes:
+    """A copy of a version 3 file with header keys, the document lengths or
+    some terms' postings replaced. Each term's df follows its postings unless
+    ``df`` gives it."""
+    fields, old_lengths, all_postings = v3_parts(data)
+    fields.update(header or {})
+    all_postings.update(postings or {})
+    fields["terms"] = list(all_postings)
+    fields["df"] = [(df or {}).get(term, len(flat) // 2) for term, flat in all_postings.items()]
+    return v3_file(fields, old_lengths if lengths is None else lengths, all_postings)
+
+
+def v2_file(data: bytes) -> bytes:
+    """The version 2 file of the index in a version 3 file: one JSON document."""
+    header, lengths, postings = v3_parts(data)
+    payload = {key: header[key] for key in ("format", "stopwords", "stem", "k1", "b",
+                                            "documents")}
+    payload.update(version=2, doc_lengths=lengths, postings=postings)
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def random_corpus(rng, max_docs=50):
@@ -432,7 +484,9 @@ class TestSerialization:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.doc_ids == index.doc_ids
-        assert loaded.postings == index.postings
+        assert all(isinstance(flat, array.array) for flat in loaded.postings.values())
+        assert {term: list(flat) for term, flat in loaded.postings.items()} == index.postings
+        assert loaded.doc_lengths == index.doc_lengths
         assert loaded.stopwords == index.stopwords
         assert loaded.stem == index.stem
         assert (loaded.k1, loaded.b) == (0.9, 0.4)
@@ -443,13 +497,12 @@ class TestSerialization:
         docs, _, _ = fixture_collection
         assert index_to_bytes(build_index(docs)) == index_to_bytes(build_index(docs))
 
-    # sha256 of the version 2 bytes, recorded when postings were still held
-    # as (ordinal, tf) tuples in memory; a new digest means the on-disk
-    # format moved, and its version with it
+    # sha256 of the version 3 bytes; a new digest means the on-disk format
+    # moved, and its version with it
     @pytest.mark.parametrize("options, digest", [
-        ({}, "361f5101071f11605e5781c87feb2d9c34d8bf5049de3e1d756407beb8721921"),
+        ({}, "a4aca26d93ece04836fa364ac2c1a64db95f7e8ea5ebacd71d01d369a209267f"),
         ({"stopwords": ENGLISH_STOPWORDS, "stem": True, "k1": 0.9, "b": 0.4},
-         "f516d3e2e6f29392919e8d3ef9f6346ca1024039053af74f305de523cc0ad44b"),
+         "e7a34f7fad8244296e77989f868077bfdf90cdf3f712b78644254d01ba3bc895"),
     ], ids=["defaults", "stopwords stem k1 b"])
     def test_bytes_are_pinned(self, fixture_collection, options, digest):
         docs, _, _ = fixture_collection
@@ -464,39 +517,78 @@ class TestSerialization:
             index_from_bytes(b"not json at all")
 
     def test_postings_stored_flat(self, toy_docs):
-        payload = json.loads(index_to_bytes(build_index(toy_docs)))
-        assert payload["version"] == 2
-        assert payload["postings"]["apples"] == [0, 2, 1, 1]
+        header, lengths, postings = v3_parts(index_to_bytes(build_index(toy_docs)))
+        assert (header["version"], header["typecode"], header["itemsize"]) == (3, "B", 1)
+        assert header["terms"] == sorted(postings)
+        assert lengths == [7, 6, 6]
+        assert postings["apples"] == [0, 2, 1, 1]
+        assert header["df"][header["terms"].index("apples")] == 2
 
-    def test_version_1_rejected_with_rebuild_message(self, toy_docs):
-        payload = json.loads(index_to_bytes(build_index(toy_docs)))
-        payload["version"] = 1
-        payload["postings"] = {t: [flat[i:i + 2] for i in range(0, len(flat), 2)]
-                               for t, flat in payload["postings"].items()}
-        with pytest.raises(IndexFormatError, match="rerun `searchsim index`"):
-            index_from_bytes(json.dumps(payload).encode("utf-8"))
+    @pytest.mark.parametrize("tokens, typecode", [(255, "B"), (256, "H"), (65536, "I")])
+    def test_block_uses_the_narrowest_typecode(self, tokens, typecode):
+        data = index_to_bytes(build_index([Document(doc_id="d", body="a " * tokens)]))
+        header, _, _ = v3_parts(data)
+        assert (header["typecode"], header["itemsize"]) == (
+            typecode, array.array(typecode).itemsize)
+        loaded = index_from_bytes(data)
+        assert loaded.doc_lengths == [tokens]
+        assert list(loaded.postings["a"]) == [0, tokens]
+
+    def test_version_2_rejected_with_rebuild_message(self, toy_docs):
+        data = v2_file(index_to_bytes(build_index(toy_docs)))
+        with pytest.raises(IndexFormatError, match="version 2 is not supported.*"
+                                                   "rerun `searchsim index`"):
+            index_from_bytes(data)
 
     def test_missing_field_rejected(self, toy_docs):
-        payload = json.loads(index_to_bytes(build_index(toy_docs)))
-        del payload["k1"]
+        header, lengths, postings = v3_parts(index_to_bytes(build_index(toy_docs)))
+        del header["k1"]
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(json.dumps(payload).encode("utf-8"))
+            index_from_bytes(v3_file(header, lengths, postings))
 
+    # A negative value or a non-integer cannot be written into the unsigned
+    # integer block. Each such case is its nearest version 3 corruption, named
+    # in its id: the value in a block of the signed or float typecode that
+    # holds it ('h', 'i', 'd', 'f'), or -1 wrapped to 0xFF in the 'B' block.
     @pytest.mark.parametrize("corrupt", [
-        lambda payload: payload["postings"].update(apples=[0, -2, 1, 1]),
-        lambda payload: payload["doc_lengths"].__setitem__(1, -4),
-        lambda payload: payload["doc_lengths"].append(5),
-        lambda payload: payload["postings"].update(apples=[0, 2, 1, 1, 2, 1, 0, 1]),
-        lambda payload: payload["postings"].update(apples=[-1, 1]),
-        lambda payload: payload["postings"].update(apples=[0, 2, 7, 1]),
-        lambda payload: payload["postings"].update(apples=[0, 2, 1]),
-        lambda payload: payload["postings"].update(apples=[0, 1.5, 1, 1]),
-        lambda payload: payload["doc_lengths"].__setitem__(1, 2.5),
-    ], ids=["negative tf", "negative doc length", "more lengths than documents",
-            "df above n_docs", "negative ordinal", "ordinal past the last document",
-            "odd-length postings", "float tf", "float doc length"])
+        lambda data: edit_v3(data, header={"typecode": "h", "itemsize": 2},
+                             postings={"apples": [0, -2, 1, 1]}),
+        lambda data: edit_v3(data, header={"typecode": "i", "itemsize": 4},
+                             lengths=[7, -4, 6]),
+        lambda data: edit_v3(data, lengths=[7, 6, 6, 5]),
+        lambda data: edit_v3(data, postings={"apples": [0, 2, 1, 1, 2, 1, 0, 1]}),
+        lambda data: edit_v3(data, postings={"apples": [0xFF, 1]}),
+        lambda data: edit_v3(data, postings={"apples": [0, 2, 7, 1]}),
+        lambda data: edit_v3(data, postings={"apples": [0, 2, 1]}, df={"apples": 2}),
+        lambda data: edit_v3(data, header={"typecode": "d", "itemsize": 8},
+                             postings={"apples": [0, 1.5, 1, 1]}),
+        lambda data: edit_v3(data, header={"typecode": "f", "itemsize": 4},
+                             lengths=[7, 2.5, 6]),
+        lambda data: edit_v3(data, header={"typecode": "H", "itemsize": 2})[:-1],
+        lambda data: data.replace(b'"typecode":"B"', b'"typecode":"Z"', 1),
+        lambda data: edit_v3(data, header={"itemsize": 2}),
+        lambda data: edit_v3(data, df={"red": True}),
+        lambda data: edit_v3(data, df={"red": 1.0}),
+        lambda data: edit_v3(data, df={"red": -1}),
+        lambda data: data.replace(b'"terms":["and","apple",', b'"terms":["and","and",', 1),
+    ], ids=["negative tf as 'h'", "negative doc length as 'i'",
+            "more lengths than documents", "df above n_docs",
+            "negative ordinal as 0xFF", "ordinal past the last document",
+            "odd-length postings", "float tf as 'd'",
+            "float doc length as 'f'", "truncated block", "unknown typecode",
+            "itemsize unequal to the typecode's", "df true", "df 1.0", "df -1",
+            "term listed twice"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
-        payload = json.loads(index_to_bytes(build_index(toy_docs)))
-        corrupt(payload)
+        data = corrupt(index_to_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(json.dumps(payload).encode("utf-8"))
+            index_from_bytes(data)
+
+    @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2]],
+                             ids=["repeated ordinal", "descending ordinal"])
+    def test_unordered_ordinals_rejected_on_first_use(self, toy_docs, apples):
+        data = edit_v3(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
+        index = index_from_bytes(data)
+        assert [r[1] for r in search(index, "oranges").results] == ["d2"]
+        for _ in range(2):  # nothing is cached for the refused term
+            with pytest.raises(IndexFormatError, match="term 'apples'.*strictly ascending"):
+                search(index, "market apples")
