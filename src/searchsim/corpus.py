@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 # Document.source values
 TRECTEXT = "trectext"
@@ -113,7 +113,6 @@ def _decode(data: bytes) -> str:
 
 # --- TRECTEXT corpora -------------------------------------------------------
 
-_DOC_RE = re.compile(rb"<DOC>(.*?)</DOC>", re.S | re.I)
 _DOCNO_RE = re.compile(rb"<DOCNO>(.*?)</DOCNO>", re.S | re.I)
 _TAG_STRIP_RE = re.compile(r"<[^>]+>")
 
@@ -121,12 +120,30 @@ _TAG_STRIP_RE = re.compile(r"<[^>]+>")
 # are kept out of the body so downstream title folding does not double-count.
 _TITLE_TAGS = ("HEADLINE", "TITLE")
 _BODY_TAGS = ("TEXT", "LEADPARA", "SUMMARY", "ABSTRACT")
+# A tag's content runs to the first matching close tag. The unrolled form
+# takes each run of non-'<' bytes in one step, where a lazy (.*?) would try
+# the close tag after every byte.
 _TITLE_TAG_RE = re.compile(
-    rb"<(HEADLINE|TITLE)>(.*?)</\1>", re.S | re.I
+    rb"<(HEADLINE|TITLE)>([^<]*(?:<(?!/\1>)[^<]*)*)</\1>", re.I
 )
 _BODY_TAG_RE = re.compile(
-    rb"<(TEXT|LEADPARA|SUMMARY|ABSTRACT)>(.*?)</\1>", re.S | re.I
+    rb"<(TEXT|LEADPARA|SUMMARY|ABSTRACT)>([^<]*(?:<(?!/\1>)[^<]*)*)</\1>", re.I
 )
+
+
+def _doc_blocks(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """(offset of ``<DOC>``, the bytes up to the first ``</DOC>`` after it)
+    for each block, with tag names matched case-insensitively."""
+    # bytes.lower folds ASCII only, as re.I does for a bytes pattern, and
+    # keeps every offset
+    lowered = data.lower()
+    start = lowered.find(b"<doc>")
+    while start >= 0:
+        end = lowered.find(b"</doc>", start + 5)
+        if end < 0:
+            return
+        yield start, data[start + 5:end]
+        start = lowered.find(b"<doc>", end + 6)
 
 
 def _clean_sgml_chunk(raw: bytes) -> str:
@@ -143,9 +160,7 @@ def parse_trectext(data: bytes, *, strict: bool = False,
     """
     report = report if report is not None else ParseReport()
     docs: list[Document] = []
-    for block in _DOC_RE.finditer(data):
-        offset = block.start()
-        inner = block.group(1)
+    for offset, inner in _doc_blocks(data):
         m = _DOCNO_RE.search(inner)
         doc_id = _decode(m.group(1)).strip() if m else ""
         if not doc_id:
@@ -167,7 +182,8 @@ def parse_trectext(data: bytes, *, strict: bool = False,
 def parse_jsonl_corpus(data: bytes, field_map: Mapping[str, str] | None = None, *,
                        strict: bool = False,
                        report: ParseReport | None = None) -> list[Document]:
-    """Parse a corpus of one JSON record per line.
+    """Parse a corpus of one JSON record per line, where only ``"\\n"`` ends
+    a line.
 
     ``field_map`` names the record keys for our fields: ``{"id": ..., "title":
     ..., "body": ...}``. A record without the title key yields title=None; a
@@ -177,7 +193,9 @@ def parse_jsonl_corpus(data: bytes, field_map: Mapping[str, str] | None = None, 
     fmap.update(field_map or {})
     report = report if report is not None else ParseReport()
     docs: list[Document] = []
-    for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
+    # str.splitlines would also break on U+2028, U+0085 and the like, which
+    # json.dumps(ensure_ascii=False) leaves raw inside a string
+    for lineno, raw in enumerate(_decode(data).split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

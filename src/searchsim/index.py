@@ -19,6 +19,9 @@ from .corpus import Document
 
 # Alphanumeric runs, lowercased; underscores and punctuation split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# In ASCII text the alphanumerics are [A-Za-z0-9], so mapping every other
+# ASCII character to a space and splitting on whitespace gives the same runs.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in range(128) if not chr(c).isalnum()})
 
 ENGLISH_STOPWORDS = frozenset(
     """a about after all also an and any are as at be because been before but by can
@@ -57,7 +60,10 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None, stem: bool = Fa
 
     An optional stopword list is applied before stemming.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    if text.isascii():
+        tokens = text.lower().translate(_ASCII_SEPARATORS).split()
+    else:
+        tokens = _TOKEN_RE.findall(text.lower())
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     if stem:
@@ -169,16 +175,24 @@ def build_index(documents: list[Document], *, stopwords: frozenset[str] | None =
     by every search against it.
     """
     postings: dict[str, list[int]] = {}
+    get = postings.get
     doc_lengths: list[int] = []
     seen: set[str] = set()
     for ordinal, doc in enumerate(documents):
         if doc.doc_id in seen:
             raise IndexBuildError(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
-        tokens = tokenize(doc.title or "", stopwords, stem) + tokenize(doc.body, stopwords, stem)
+        # the "\n" between title and body is a separator that no lowercasing
+        # context crosses, so these are the title's tokens, then the body's
+        tokens = tokenize(doc.full_text(), stopwords, stem)
         doc_lengths.append(len(tokens))
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).extend((ordinal, tf))
+            flat = get(term)
+            if flat is None:
+                postings[term] = [ordinal, tf]
+            else:
+                flat.append(ordinal)
+                flat.append(tf)
     return InvertedIndex(postings=postings, doc_lengths=doc_lengths, documents=list(documents),
                          stopwords=stopwords, stem=stem, k1=k1, b=b)
 
@@ -322,7 +336,10 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
     in the narrowest array type that holds the largest value."""
     postings = index.postings
     terms = sorted(postings)
-    largest = max(max(index.doc_lengths, default=0), max(map(max, postings.values()), default=0))
+    # a term's largest ordinal is its last, and a tf is at most its
+    # document's length, so these two maxima bound every value in the block
+    largest = max(max(index.doc_lengths, default=0),
+                  max((flat[-2] for flat in postings.values()), default=0))
     typecode = next((t for t in _TYPECODES if largest < 256 ** array.array(t).itemsize),
                     _TYPECODES[-1])
     header = {

@@ -416,7 +416,9 @@ class LogFormatError(ValueError):
 
 
 def session_log_from_jsonl(data: bytes) -> SessionLog:
-    lines = [line for line in data.decode("utf-8").splitlines() if line.strip()]
+    # records end at "\n" only: the writer leaves U+2028, U+0085 and the like
+    # raw inside strings, where str.splitlines would break them
+    lines = [line for line in data.decode("utf-8").split("\n") if line.strip()]
     if not lines:
         raise LogFormatError("empty session log")
     try:

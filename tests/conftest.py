@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from searchsim.corpus import Document, Topic
 from searchsim.fixtures import load_fixture_collection
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run repeats exactly.
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

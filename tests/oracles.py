@@ -1,16 +1,30 @@
-"""Shared brute-force oracles and log fuzzers for the metric and index tests.
+"""Shared brute-force oracles and log fuzzers for the metric, index and
+parser tests.
 
 The metric oracles re-derive both measures straight from the raw interaction
 rows, independently of the library's implementations; the snippet oracle
-finds its match by lowering and comparing every body token in turn.
+finds its match by lowering and comparing every body token in turn; the
+tokenizer, build and TRECTEXT oracles are the plain regex and two-call
+definitions that the library's faster paths must equal.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 from searchsim.agents import UserKind
-from searchsim.index import tokenize
+from searchsim.corpus import (
+    _DOCNO_RE,
+    TRECTEXT,
+    Document,
+    ParseError,
+    ParseReport,
+    _clean_sgml_chunk,
+    _decode,
+    _norm_ws,
+)
+from searchsim.index import _s_stem, tokenize
 from searchsim.session import (
     ANOMALY,
     DOCUMENT_VIEWED,
@@ -139,3 +153,58 @@ def oracle_snippet(body, query, max_chars):
     if end < len(body):
         snippet += "…"
     return snippet
+
+
+_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def oracle_tokenize(text, stopwords=None, stem=False):
+    """Every alphanumeric run of the lowercased text, found by one regex."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    if stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
+    if stem:
+        tokens = [_s_stem(t) for t in tokens]
+    return tokens
+
+
+def oracle_postings(docs, stopwords=None, stem=False):
+    """(postings, doc_lengths) with the title and the body tokenized apart
+    and their token lists joined."""
+    postings, lengths = {}, []
+    for ordinal, doc in enumerate(docs):
+        tokens = (oracle_tokenize(doc.title or "", stopwords, stem)
+                  + oracle_tokenize(doc.body, stopwords, stem))
+        lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, []).extend((ordinal, tf))
+    return postings, lengths
+
+
+# Lazy patterns: a block or tag runs to the first close tag after it.
+_LAZY_DOC_RE = re.compile(rb"<DOC>(.*?)</DOC>", re.S | re.I)
+_LAZY_TITLE_TAG_RE = re.compile(rb"<(HEADLINE|TITLE)>(.*?)</\1>", re.S | re.I)
+_LAZY_BODY_TAG_RE = re.compile(rb"<(TEXT|LEADPARA|SUMMARY|ABSTRACT)>(.*?)</\1>", re.S | re.I)
+
+
+def oracle_parse_trectext(data, *, strict=False, report=None):
+    """parse_trectext with every block and tag found by a lazy regex."""
+    report = report if report is not None else ParseReport()
+    docs = []
+    for block in _LAZY_DOC_RE.finditer(data):
+        offset = block.start()
+        inner = block.group(1)
+        m = _DOCNO_RE.search(inner)
+        doc_id = _decode(m.group(1)).strip() if m else ""
+        if not doc_id:
+            if strict:
+                raise ParseError("DOC block without a DOCNO", offset=offset)
+            report.skipped += 1
+            report.note(f"skipped DOC block without DOCNO at byte offset {offset}")
+            continue
+        title_parts = [_clean_sgml_chunk(t.group(2)) for t in _LAZY_TITLE_TAG_RE.finditer(inner)]
+        body_parts = [_clean_sgml_chunk(t.group(2)) for t in _LAZY_BODY_TAG_RE.finditer(inner)]
+        title = _norm_ws(" ".join(p for p in title_parts if p)) or None
+        body = "\n\n".join(p for p in body_parts if p)
+        docs.append(Document(doc_id=doc_id, title=title, body=body, source=TRECTEXT))
+    return docs

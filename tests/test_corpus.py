@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from searchsim.corpus import (
     Document,
@@ -13,6 +16,35 @@ from searchsim.corpus import (
     parse_topics,
     parse_trectext,
 )
+
+from oracles import oracle_parse_trectext
+
+# str.splitlines breaks a line at each of these. json.dumps(ensure_ascii=False)
+# writes the first three raw inside a string and escapes the rest.
+LINE_BOUNDARIES = ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"]
+
+# Tag fragments in mixed case, opened and closed, with stray '<', invalid
+# UTF-8 and plain text between them. The first few open a block with its
+# DOCNO, so that most draws hold whole documents.
+TRECTEXT_FRAGMENTS = [
+    b"<DOC><DOCNO>d1</DOCNO>", b"<doc><DocNo> d2 </docno>", b"<Doc><DOCNO>\xff</DOCNO>",
+    b"<DOC>", b"<doc>", b"</DOC>", b"</doc>", b"<DocNo>", b"</DOCNO>", b"</docno>",
+    b"<TEXT>", b"</TEXT>", b"</text>", b"</TEXTS>", b"<LEADPARA>", b"</LEADPARA>", b"<HEADLINE>",
+    b"</headline>", b"<Title>", b"</TITLE>", b"<SUMMARY>", b"</summary>", b"<P>", b"</P>",
+    b"<", b"/", b">", b"\xff", "Σ".encode(), b"d1", b" text ", b"\n",
+]
+# lists of lists, so that a draw holds about 25 fragments on average
+trectext_bytes = st.lists(
+    st.lists(st.sampled_from(TRECTEXT_FRAGMENTS) | st.binary(max_size=3), max_size=10),
+    max_size=10).map(lambda runs: b"".join(b"".join(run) for run in runs))
+
+
+def strict_error_offset(parse, data):
+    try:
+        parse(data, strict=True)
+    except ParseError as exc:
+        return exc.offset
+    return None
 
 
 class TestParseTrectext:
@@ -69,6 +101,18 @@ class TestParseTrectext:
         assert len(docs) == 60
         assert len({d.doc_id for d in docs}) == 60
 
+    @settings(max_examples=300)
+    @given(data=trectext_bytes)
+    @example(data=b"<DOC><DOCNO>d</DOCNO><TEXT>a</TEXT>b</text></DOC>")
+    @example(data=b"<DOC><DOCNO>d</DOCNO><Title>a</TITLES>b</title>c</TITLE></DOC>")
+    def test_equals_lazy_pattern_oracle(self, data):
+        report, expected_report = ParseReport(), ParseReport()
+        assert (parse_trectext(data, report=report)
+                == oracle_parse_trectext(data, report=expected_report))
+        assert report == expected_report
+        assert (strict_error_offset(parse_trectext, data)
+                == strict_error_offset(oracle_parse_trectext, data))
+
 
 class TestParseJsonl:
     def test_single_record_with_field_map(self):
@@ -104,6 +148,33 @@ class TestParseJsonl:
         with pytest.raises(ParseError) as err:
             parse_jsonl_corpus(data, strict=True)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("char", LINE_BOUNDARIES)
+    def test_line_boundary_characters_round_trip(self, char):
+        docs = [Document(doc_id=f"a{char}z", title=f"t{char}", body=f"one{char}two", source="jsonl"),
+                Document(doc_id="b", body=char, source="jsonl")]
+        data = "\n".join(json.dumps({"id": d.doc_id, "title": d.title, "body": d.body},
+                                    ensure_ascii=False) for d in docs).encode()
+        report = ParseReport()
+        assert parse_jsonl_corpus(data, report=report) == docs
+        assert report.skipped == 0
+
+    @pytest.mark.parametrize("char", LINE_BOUNDARIES)
+    def test_skip_messages_count_newline_lines(self, char):
+        # written raw, a control character is invalid JSON and U+2028 is
+        # not: either way the record stays one line
+        data = (f'{{"id": "a", "body": "x{char}y"}}\nnot json\n{{"id": "c", "body": "z"}}\n'
+                f'{{broken{char}\n').encode()
+        report = ParseReport()
+        docs = parse_jsonl_corpus(data, report=report)
+        valid_raw = char >= "\x20"
+        assert [d.doc_id for d in docs] == (["a", "c"] if valid_raw else ["c"])
+        lines = [m.split(":")[0] for m in report.messages]
+        assert lines == ([] if valid_raw else ["skipped line 1"]) + [
+            "skipped line 2", "skipped line 4"]
+        with pytest.raises(ParseError) as err:
+            parse_jsonl_corpus(data, strict=True)
+        assert err.value.line == (2 if valid_raw else 1)
 
 
 class TestParseTopics:

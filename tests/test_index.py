@@ -11,6 +11,8 @@ import threading
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import searchsim.index
 from searchsim.corpus import Document
@@ -30,7 +32,7 @@ from searchsim.index import (
     tokenize,
 )
 
-from oracles import oracle_snippet
+from oracles import oracle_postings, oracle_snippet, oracle_tokenize
 
 # Hand evaluation of the scoring formula for tf=1, df=1, dl=avgdl, N=2:
 # idf = ln((2 - 1 + 0.5)/(1 + 0.5) + 1) = ln(2); tf part = 2.2/2.2 = 1.
@@ -127,7 +129,39 @@ def random_corpus(rng, max_docs=50):
     return docs, words
 
 
+def narrowest_typecode(lengths, postings):
+    """The narrowest array type that holds every value of a block."""
+    largest = max([*lengths, *(value for flat in postings.values() for value in flat)],
+                  default=0)
+    return next(t for t in "BHI" if largest < 256 ** array.array(t).itemsize)
+
+
+ANALYZERS = pytest.mark.parametrize("stopwords, stem", [
+    (None, False), (None, True), (ENGLISH_STOPWORDS, False), (ENGLISH_STOPWORDS, True),
+], ids=["plain", "stem", "stopwords", "stopwords stem"])
+
+# Words that stopword removal or stemming acts on, mixed with single
+# characters. The non-ASCII ones change length or depend on context when
+# lowercased ('İ', a final 'Σ'), or are letters or digits only outside ASCII.
+WORDS = ["the", "The", "OF", "is", "cities", "Buses", "gas", "R2D2", "x_y"]
+NON_ASCII = ["Σ", "İ", "ß", "ǅ", "²", "ΑΣ", "é"]
+ascii_text = st.lists(st.sampled_from([chr(c) for c in range(128)]) | st.sampled_from(WORDS),
+                      max_size=30).map("".join)
+mixed_text = st.lists(st.sampled_from([chr(c) for c in range(128)])
+                      | st.sampled_from(WORDS + NON_ASCII), max_size=30).map("".join)
+
+
 class TestTokenize:
+    @ANALYZERS
+    @given(text=ascii_text)
+    def test_ascii_text_equals_regex_oracle(self, text, stopwords, stem):
+        assert tokenize(text, stopwords, stem) == oracle_tokenize(text, stopwords, stem)
+
+    @ANALYZERS
+    @given(text=mixed_text)
+    def test_non_ascii_text_equals_regex_oracle(self, text, stopwords, stem):
+        assert tokenize(text, stopwords, stem) == oracle_tokenize(text, stopwords, stem)
+
     def test_basic(self):
         assert tokenize("Hello, World") == ["hello", "world"]
 
@@ -168,6 +202,19 @@ class TestBuildIndex:
         assert index.df("market") == 2
         assert index.df("the") == 2
         assert index.df("red") == 1
+
+    @ANALYZERS
+    @settings(max_examples=50)
+    @given(fields=st.lists(st.tuples(
+        st.none() | st.just("") | mixed_text | mixed_text.map(lambda t: t + "Σ"),
+        mixed_text | mixed_text.map(lambda t: "Σ" + t)), max_size=6))
+    def test_equals_title_and_body_tokenized_apart(self, fields, stopwords, stem):
+        docs = [Document(doc_id=f"d{i}", title=title, body=body)
+                for i, (title, body) in enumerate(fields)]
+        index = build_index(docs, stopwords=stopwords, stem=stem)
+        assert (index.postings, index.doc_lengths) == oracle_postings(docs, stopwords, stem)
+        header, lengths, postings = v3_parts(index_to_bytes(index))
+        assert header["typecode"] == narrowest_typecode(lengths, postings)
 
     def test_title_tokens_counted_in_length(self):
         with_title = build_index([Document(doc_id="d", title="x y", body="z")])
@@ -533,6 +580,15 @@ class TestSerialization:
         loaded = index_from_bytes(data)
         assert loaded.doc_lengths == [tokens]
         assert list(loaded.postings["a"]) == [0, tokens]
+
+    @pytest.mark.parametrize("last_body, typecode", [("", "B"), ("a", "H")],
+                             ids=["last empty", "last not empty"])
+    def test_typecode_holds_the_largest_ordinal(self, last_body, typecode):
+        docs = [Document(doc_id=f"d{i}", body="a") for i in range(256)]
+        data = index_to_bytes(build_index(docs + [Document(doc_id="d256", body=last_body)]))
+        header, lengths, postings = v3_parts(data)
+        assert header["typecode"] == narrowest_typecode(lengths, postings) == typecode
+        assert index_to_bytes(index_from_bytes(data)) == data
 
     def test_version_2_rejected_with_rebuild_message(self, toy_docs):
         data = v2_file(index_to_bytes(build_index(toy_docs)))

@@ -41,6 +41,8 @@ from searchsim.session import (
 )
 from searchsim.testing import CapturingBackend
 
+from oracles import make_log
+
 # Reply-table keys anchored on fixed phrases of the default templates.
 ANSWER_YES = {"Would this text be useful": "Yes",
               "Output only the summary": "themes so far"}
@@ -580,6 +582,20 @@ class TestCampaign:
 
 
 class TestLogFiles:
+    # str.splitlines breaks a line at each of these; the writer leaves the
+    # first three raw inside a string and escapes the rest
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"])
+    def test_line_boundary_characters_round_trip(self, char):
+        log = make_log([(QUERY_ISSUED, 1.0, {"query": f"a{char}b"}),
+                        (SNIPPET_VIEWED, 0.5, {"doc_id": "d1", "rank": 1,
+                                               "snippet": f"{char}text{char}"}),
+                        (SESSION_ENDED, 0.0, {"reason": END_MAX_QUERIES})])
+        data = session_log_to_jsonl(log)
+        restored = session_log_from_jsonl(data)
+        assert restored.interactions == log.interactions
+        assert restored.queries_issued == [f"a{char}b"]
+        assert session_log_to_jsonl(restored) == data
+
     def test_write_read_and_manifest(self, tmp_path, twin_setup):
         _, index, topic, qrels = twin_setup
         log = run_session(topic, UserKind.RND, index, qrels,
