@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .agents import Persona, PromptTemplates, UserKind
 from .corpus import (
-    DEFAULT_FIELD_MAP,
     ParseReport,
     QrelSet,
     Topic,
@@ -134,6 +133,10 @@ class CampaignConfig:
         for key in ("corpus", "topics", "qrels"):
             if key not in collection:
                 raise ConfigError(f"config is missing collection.{key}")
+        field_map = collection.get("field_map")
+        if field_map is not None:
+            for name, value in _typed(field_map, "collection.field_map", dict).items():
+                _typed(value, f"collection.field_map.{name}", str)
         users = _typed(raw.get("users", ["FTTC"]), "users", list)
         try:
             users = [UserKind(u) for u in users]
@@ -172,7 +175,7 @@ class CampaignConfig:
             topics_path=_path(collection["topics"], "collection.topics"),
             qrels_path=_path(collection["qrels"], "collection.qrels"),
             corpus_format=collection.get("format", "trectext"),
-            field_map=collection.get("field_map"),
+            field_map=field_map,
             collection_name=collection.get("name", "collection"),
             stopwords=_typed(index_opts.get("stopwords", False), "index.stopwords", bool),
             stem=_typed(index_opts.get("stem", False), "index.stem", bool),
@@ -232,8 +235,7 @@ class CampaignConfig:
     def load_documents(self, report: ParseReport | None = None):
         data = Path(self.corpus_path).read_bytes()
         if self.corpus_format == "jsonl":
-            return parse_jsonl_corpus(data, self.field_map or DEFAULT_FIELD_MAP,
-                                      report=report)
+            return parse_jsonl_corpus(data, self.field_map, report=report)
         return parse_trectext(data, report=report)
 
     def load_topics(self, report: ParseReport | None = None) -> list[Topic]:

@@ -158,12 +158,9 @@ class InvertedIndex:
 
 @dataclass
 class Serp:
-    """One result page: ranked (rank, doc_id, score) rows with aligned snippets."""
+    """One result page: ranked (rank, doc_id, score) rows."""
 
-    query: str
-    page: int
     results: list[tuple[int, str, float]]
-    snippets: list[str]
 
 
 def build_index(documents: list[Document], *, stopwords: frozenset[str] | None = None,
@@ -237,24 +234,20 @@ def rank_documents(index: InvertedIndex, query: str, depth: int) -> list[tuple[i
     return heapq.nsmallest(depth, candidates, key=lambda kv: (-kv[1], doc_ids[kv[0]]))
 
 
-def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10, *,
-           snippet_max_chars: int = 160) -> Serp:
+def search(index: InvertedIndex, query: str, page: int = 1, page_size: int = 10) -> Serp:
     """Rank the query against the index and return one page of results.
 
     A query with no indexed terms yields an empty page. The query is ranked
     to a depth of ``page * page_size``, so its pages are slices of one ranking.
+    ``make_snippet`` builds the snippet of a row that is read.
     """
     if page < 1 or page_size < 1:
         raise ValueError("page and page_size must be >= 1")
-    ranking = rank_documents(index, query, page * page_size)
     start = (page - 1) * page_size
-    rows = ranking[start:start + page_size]
+    rows = rank_documents(index, query, page * page_size)[start:]
     doc_ids = index.doc_ids
-    results = [(start + i + 1, doc_ids[ordinal], score)
-               for i, (ordinal, score) in enumerate(rows)]
-    snippets = [make_snippet(index.documents[ordinal], query, snippet_max_chars)
-                for ordinal, _ in rows]
-    return Serp(query=query, page=page, results=results, snippets=snippets)
+    return Serp(results=[(start + i + 1, doc_ids[ordinal], score)
+                         for i, (ordinal, score) in enumerate(rows)])
 
 
 def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:

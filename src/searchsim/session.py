@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import index as index_module
 from .agents import (
     FEEDBACK_KINDS,
     LLM_KINDS,
@@ -150,9 +151,12 @@ class SessionLog:
     user_kind: UserKind
     seed: int
     interactions: list[Interaction] = field(default_factory=list)
-    queries_issued: list[str] = field(default_factory=list)
     initial_queries: list[str] = field(default_factory=list)
     config_hash: str | None = None
+
+    @property
+    def queries_issued(self) -> list[str]:
+        return [it.payload["query"] for it in self.interactions if it.kind == QUERY_ISSUED]
 
     @property
     def end_reason(self) -> str | None:
@@ -179,10 +183,10 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     """Run one simulated session and return its interaction log.
 
     The snippet-level open/skip decision uses the same relevance mechanism as
-    the document judgment, applied to the snippet text. Documents already
-    judged in this session are skipped without cost when they reappear in a
-    later result list. Backend failures end the session with a marked,
-    partial log.
+    the document judgment, applied to the snippet text, which is built only
+    for the LLM kinds that read it. Documents already judged in this session
+    are skipped without cost when they reappear in a later result list.
+    Backend failures end the session with a marked, partial log.
     """
     policy = policy or SessionPolicy()
     cost = cost_model or CostModel()
@@ -202,9 +206,9 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     def _anomaly(message: str) -> None:
         _log(ANOMALY, 0.0, message=message)
 
-    def _decide(text: str) -> bool:
+    def _decide(read) -> bool:  # a random user draws and never calls read()
         if kind in LLM_KINDS:
-            return decide_relevance_llm(backend, topic, kind, state, text,
+            return decide_relevance_llm(backend, topic, kind, state, read(),
                                         templates=templates, on_anomaly=_anomaly)
         return decide_relevance_random(rng, policy.p_random)
 
@@ -224,9 +228,8 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
         viewed = 0
         consecutive = 0
         # one ranked list, as deep as the policy's pages reach
-        serp = search(index, query, 1, policy.page_size * policy.max_pages_per_query,
-                      snippet_max_chars=policy.snippet_max_chars)
-        for (rank, doc_id, _score), snippet in zip(serp.results, serp.snippets):
+        serp = search(index, query, 1, policy.page_size * policy.max_pages_per_query)
+        for rank, doc_id, _score in serp.results:
             if doc_id in state.judged:
                 continue  # re-encountered in a later SERP: skip without cost
             if (viewed if rule.kind == FIXED_DEPTH else consecutive) >= rule.value:
@@ -234,11 +237,13 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             _log(SNIPPET_VIEWED, cost.snippet_cost, doc_id=doc_id, rank=rank)
             viewed += 1
             relevant = False
-            if _decide(snippet):
-                document = index.document(doc_id)
+            document = index.document(doc_id)
+            # looked up on its module, so a replacement there sees every call
+            if _decide(lambda: index_module.make_snippet(document, query,
+                                                         policy.snippet_max_chars)):
                 text = document.full_text()
                 _log(DOCUMENT_VIEWED, cost.document_cost, doc_id=doc_id)
-                relevant = _decide(text)
+                relevant = _decide(lambda: text)
                 grade = qrels.grade(topic.topic_id, doc_id)
                 _log(JUDGMENT_MADE, cost.judgment_cost, doc_id=doc_id,
                      relevant=relevant, grade=grade)
@@ -266,7 +271,6 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             if query is None:
                 reason = END_QUERIES_EXHAUSTED
                 break
-            log.queries_issued.append(query)
             _log(QUERY_ISSUED, cost.query_cost, query=query)
             _scan(query)
     except BackendError as exc:
@@ -290,11 +294,7 @@ def derive_session_seed(campaign_seed: int, topic_id: str, kind: UserKind) -> in
 
 def validate_campaign_kinds(kinds: list[UserKind]) -> list[UserKind]:
     """Deduplicate, check RND_STAR's dependency, and order FTTC before RND_STAR."""
-    ordered: list[UserKind] = []
-    for k in kinds:
-        k = UserKind(k)
-        if k not in ordered:
-            ordered.append(k)
+    ordered = list(dict.fromkeys(UserKind(k) for k in kinds))
     if not ordered:
         raise CampaignError("at least one user kind is required")
     if UserKind.RND_STAR in ordered:
@@ -418,28 +418,32 @@ class LogFormatError(ValueError):
 def session_log_from_jsonl(data: bytes) -> SessionLog:
     # records end at "\n" only: the writer leaves U+2028, U+0085 and the like
     # raw inside strings, where str.splitlines would break them
-    lines = [line for line in data.decode("utf-8").split("\n") if line.strip()]
-    if not lines:
-        raise LogFormatError("empty session log")
-    try:
-        header = json.loads(lines[0])
-        if header.get("record") != "session":
-            raise ValueError("first record is not a session header")
-        log = SessionLog(topic_id=header["topic_id"],
-                         user_kind=UserKind(header["user_kind"]),
-                         seed=header["seed"],
-                         initial_queries=list(header.get("initial_queries") or []),
-                         config_hash=header.get("config_hash"))
-        for line in lines[1:]:
+    log = None
+    for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
             record = json.loads(line)
-            if record.get("record") != "interaction":
-                raise ValueError("expected an interaction record")
+            expected = "session" if log is None else "interaction"
+            if not isinstance(record, dict) or record.get("record") != expected:
+                raise ValueError(f"not a JSON object with record {expected!r}")
+            if log is None:
+                log = SessionLog(topic_id=record["topic_id"],
+                                 user_kind=UserKind(record["user_kind"]),
+                                 seed=record["seed"],
+                                 initial_queries=list(record.get("initial_queries") or []),
+                                 config_hash=record.get("config_hash"))
+                continue
+            payload = record["payload"]
+            if not isinstance(payload, dict) or (record["kind"] == QUERY_ISSUED
+                                                 and "query" not in payload):
+                raise ValueError("payload is not a JSON object, or lacks the query")
             log.interactions.append(Interaction(record["seq"], record["kind"],
-                                                record["cost"], record["payload"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise LogFormatError(f"bad session log: {exc}") from exc
-    log.queries_issued = [it.payload["query"] for it in log.interactions
-                          if it.kind == QUERY_ISSUED]
+                                                record["cost"], payload))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
+    if log is None:
+        raise LogFormatError("empty session log")
     return log
 
 

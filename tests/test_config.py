@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import pytest
 
 from searchsim.agents import Persona
+from searchsim.cli import main
 from searchsim.config import CampaignConfig, ConfigError
 from searchsim.fixtures import fixture_path
 from searchsim.session import CostModel, SessionPolicy, SnippetStopRule
@@ -85,6 +86,23 @@ class TestFromFile:
         raw["session"] = {"page_size": 5, "max_pages_per_query": 3}
         config = CampaignConfig.from_file(write_raw(tmp_path, raw))
         assert config.policy.stop_rule.value == 10
+
+    @pytest.mark.parametrize("field_map", ["oops", ["id", "docno"], {"id": 5}, {"body": None}],
+                             ids=["string", "array", "number_value", "null_value"])
+    def test_field_map_must_be_an_object_of_strings(self, tmp_path, capsys, field_map):
+        raw = minimal_raw()
+        raw["collection"].update(format="jsonl", field_map=field_map)
+        path = write_raw(tmp_path, raw)
+        with pytest.raises(ConfigError, match="collection.field_map"):
+            CampaignConfig.from_file(path)
+        assert main(["index", "--config", str(path)]) == 1
+        assert "collection.field_map" in capsys.readouterr().err
+
+    def test_field_map_of_strings_loads(self, tmp_path):
+        raw = minimal_raw()
+        raw["collection"].update(format="jsonl", field_map={"id": "docno", "body": "text"})
+        config = CampaignConfig.from_file(write_raw(tmp_path, raw))
+        assert config.field_map == {"id": "docno", "body": "text"}
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         corpus = tmp_path / "c.trectext"

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import searchsim.index
 from searchsim.corpus import Document
 from searchsim.index import (
     ENGLISH_STOPWORDS,
@@ -309,7 +308,6 @@ class TestSearch:
     def test_absent_term_gives_empty_serp(self, toy_docs):
         serp = search(build_index(toy_docs), "zzz")
         assert serp.results == []
-        assert serp.snippets == []
 
     def test_equal_scores_tie_break_by_doc_id(self):
         docs = [Document(doc_id="b", body="twin text"),
@@ -324,7 +322,6 @@ class TestSearch:
         scores = [r[2] for r in serp.results]
         assert scores == sorted(scores, reverse=True)
         assert [r[0] for r in serp.results] == list(range(1, len(serp.results) + 1))
-        assert len(serp.snippets) == len(serp.results)
 
     def test_pagination_concatenation(self, fixture_collection):
         docs, _, _ = fixture_collection
@@ -409,7 +406,6 @@ class TestSearch:
             deep = search(index, query, 1, 12)
             pages = [search(index, query, page, 3) for page in range(1, 5)]
             assert [row for serp in pages for row in serp.results] == deep.results
-            assert [snippet for serp in pages for snippet in serp.snippets] == deep.snippets
 
     def test_ties_at_the_cutoff_equal_brute_force_pages(self):
         # 4 documents score above 20 that tie on "alpha"; every depth cuts
@@ -429,22 +425,6 @@ class TestSearch:
         for page in range(1, 8):
             assert [(r[1], r[2]) for r in search(index, "alpha", page, 4).results] == (
                 expected[(page - 1) * 4:page * 4])
-
-    def test_make_snippet_called_once_per_row(self, fixture_collection, monkeypatch):
-        docs, _, _ = fixture_collection
-        index = build_index(docs)
-        calls = []
-        real = searchsim.index.make_snippet
-
-        def counting(document, query, max_chars=160):
-            calls.append(document.doc_id)
-            return real(document, query, max_chars)
-
-        monkeypatch.setattr(searchsim.index, "make_snippet", counting)
-        for page in range(1, 6):
-            calls.clear()
-            serp = search(index, "the city council", page, 4)
-            assert calls == [doc_id for _, doc_id, _ in serp.results]
 
     def test_determinism_bit_identical(self, fixture_collection):
         docs, _, _ = fixture_collection

@@ -9,8 +9,10 @@ import pytest
 
 import searchsim.index
 import searchsim.session
-from searchsim.agents import UserKind
+from searchsim.agents import LLM_KINDS, UserKind
+from searchsim.config import CampaignConfig
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
+from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import build_index
 from searchsim.llm import BackendError, ScriptedBackend
 from searchsim.session import (
@@ -27,6 +29,7 @@ from searchsim.session import (
     SNIPPET_VIEWED,
     CampaignError,
     CostModel,
+    LogFormatError,
     SessionPolicy,
     SnippetStopRule,
     derive_session_seed,
@@ -228,6 +231,45 @@ class TestRunSessionTraces:
         assert len(issued) == 3
         assert ranked == issued
         assert searched == issued
+
+    def test_snippets_built_only_for_rows_llm_users_judge(self, fixture_collection,
+                                                          monkeypatch):
+        config = CampaignConfig.from_file(fixture_path(CAMPAIGN))
+        # a width other than make_snippet's default, so a dropped argument shows
+        policy = replace(config.policy, snippet_max_chars=100)
+        docs, topics, qrels = fixture_collection
+        index = build_index(docs, **config.index_options())
+        calls = []
+        real = searchsim.index.make_snippet
+
+        def counting(document, query, max_chars=160):
+            calls.append((document.doc_id, query, max_chars))
+            return real(document, query, max_chars)
+
+        monkeypatch.setattr(searchsim.index, "make_snippet", counting)
+        llm_rows = 0
+        for topic in topics:
+            fttc_queries = None
+            for kind in validate_campaign_kinds(config.users):
+                calls.clear()
+                seed = derive_session_seed(config.campaign_seed, topic.topic_id, kind)
+                log = run_session(topic, kind, index, qrels, policy=policy,
+                                  cost_model=config.cost_model, backend=config.make_backend(),
+                                  templates=config.make_templates(), rng_seed=seed,
+                                  preset_queries=fttc_queries)
+                if kind is UserKind.FTTC:
+                    fttc_queries = log.initial_queries
+                viewed = []
+                for it in log.interactions:
+                    if it.kind == QUERY_ISSUED:
+                        query = it.payload["query"]
+                    elif it.kind == SNIPPET_VIEWED:
+                        viewed.append((it.payload["doc_id"], query, 100))
+                assert viewed, (topic.topic_id, kind)
+                # a random user decides by a draw and reads no snippet
+                assert calls == (viewed if kind in LLM_KINDS else []), (topic.topic_id, kind)
+                llm_rows += len(viewed) if kind in LLM_KINDS else 0
+        assert llm_rows > 0
 
 
 class TestSummaryRequests:
@@ -595,6 +637,25 @@ class TestLogFiles:
         assert restored.interactions == log.interactions
         assert restored.queries_issued == [f"a{char}b"]
         assert session_log_to_jsonl(restored) == data
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["[]"], 1),
+        (["[1]"], 1),
+        (["HEADER", "[1]"], 2),
+        (["HEADER", "", "[]"], 3),
+        (["HEADER", '{"record":"interaction","seq":0,"kind":"QueryIssued","cost":1.0,'
+                    '"payload":[]}'], 2),
+        (["HEADER", '{"record":"interaction","seq":0,"kind":"QueryIssued","cost":1.0,'
+                    '"payload":"q"}'], 2),
+        (["HEADER", '{"record":"interaction","seq":0,"kind":"QueryIssued","cost":1.0,'
+                    '"payload":{}}'], 2),
+    ], ids=["header_empty_array", "header_array", "record_array", "record_after_blank",
+            "payload_array", "payload_string", "query_missing"])
+    def test_record_that_is_not_an_object_names_its_line(self, lines, lineno):
+        header = session_log_to_jsonl(make_log([])).decode("utf-8").strip()
+        data = "\n".join(header if line == "HEADER" else line for line in lines)
+        with pytest.raises(LogFormatError, match=f"line {lineno}: "):
+            session_log_from_jsonl(data.encode("utf-8"))
 
     def test_write_read_and_manifest(self, tmp_path, twin_setup):
         _, index, topic, qrels = twin_setup
