@@ -7,14 +7,17 @@ back to a hash-driven synthesizer shaped by the request tag.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import logging
 import os
 import re
+import ssl
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .index import ENGLISH_STOPWORDS
 
@@ -111,11 +114,31 @@ def default_params(task: str) -> tuple[float, int]:
     return table[task]
 
 
+# what a failed attempt can raise short of an HTTP status: a refused or reset
+# connection or a timeout (OSError, URLError), an unparsable status line
+# (HTTPException, which is not an OSError), or a malformed URL (ValueError)
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+
+
 class HttpBackend:
-    """Client for an OpenAI-style chat-completions endpoint."""
+    """Client for an OpenAI-style chat-completions endpoint.
+
+    Each attempt is one POST on a new connection (urllib sends ``Connection:
+    close``) through an opener built once per backend, so the ``*_proxy``
+    variables are read when the backend is built (with a proxy set, urllib
+    checks ``no_proxy`` on each request). An ``https`` endpoint also gets one
+    TLS context, verifying against the system CA store, since building a
+    context reads the whole store.
+    """
 
     def __init__(self, config: BackendConfig):
         self.config = config
+        handlers = []
+        if (config.endpoint or "").lower().startswith("https:"):
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])  # as http.client sets on its own
+            handlers.append(urllib.request.HTTPSHandler(context=context))
+        self._opener = urllib.request.build_opener(*handlers)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload: dict = {
@@ -129,6 +152,7 @@ class HttpBackend:
             else self.config.max_tokens
         if max_tokens is not None:
             payload["max_tokens"] = max_tokens
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")
         if api_key:
@@ -141,21 +165,28 @@ class HttpBackend:
             if attempt:
                 time.sleep(min(0.2 * 2 ** (attempt - 1), 2.0))
             try:
-                resp = requests.post(self.config.endpoint, json=payload, headers=headers,
-                                     timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                http_request = urllib.request.Request(self.config.endpoint, data=body,
+                                                      headers=headers, method="POST")
+                with self._opener.open(http_request, timeout=self.config.timeout) as resp:
+                    raw = resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    if exc.code < 500:
+                        try:
+                            detail = exc.read().decode("utf-8", "replace")[:200]
+                        except _TRANSPORT_ERRORS:
+                            detail = ""
+                        raise BackendError(f"endpoint rejected request: HTTP {exc.code} "
+                                           f"{detail}") from None
+                last_error = f"HTTP {exc.code}"
+                logger.warning("chat request attempt %d/%d got %s", attempt + 1, attempts, last_error)
+                continue
+            except _TRANSPORT_ERRORS as exc:
                 last_error = str(exc)
                 logger.warning("chat request attempt %d/%d failed: %s", attempt + 1, attempts, exc)
                 continue
-            if resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                logger.warning("chat request attempt %d/%d got %s", attempt + 1, attempts, last_error)
-                continue
-            if resp.status_code >= 400:
-                raise BackendError(f"endpoint rejected request: HTTP {resp.status_code} "
-                                   f"{resp.text[:200]}")
             try:
-                data = resp.json()
+                data = json.loads(raw)
                 text = data["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion body: {exc}") from exc
@@ -167,10 +198,14 @@ class HttpBackend:
 
 
 def probe_endpoint(config: BackendConfig) -> bool:
-    """Cheap reachability check: can we open a connection at all?"""
+    """Cheap reachability check: does the endpoint answer a HEAD with any status?"""
     try:
-        requests.head(config.endpoint, timeout=config.timeout)
-    except requests.RequestException:
+        with urllib.request.build_opener().open(
+                urllib.request.Request(config.endpoint, method="HEAD"), timeout=config.timeout):
+            pass
+    except urllib.error.HTTPError as exc:
+        exc.close()  # an error status is still an answer
+    except _TRANSPORT_ERRORS:
         return False
     return True
 

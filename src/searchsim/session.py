@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -70,8 +71,12 @@ class Interaction:
     def __post_init__(self):
         if self.kind not in INTERACTION_KINDS:
             raise ValueError(f"unknown interaction kind {self.kind!r}")
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
+        # run for every logged record, so kept cheap; `type(seq) is int` refuses a bool
+        if type(self.seq) is not int or self.seq < 0:
+            raise ValueError(f"seq must be an integer >= 0, got {self.seq!r}")
+        if type(self.cost) is bool or not isinstance(self.cost, (int, float)) \
+                or not 0 <= self.cost < math.inf:
+            raise ValueError(f"cost must be a finite number >= 0, got {self.cost!r}")
 
 
 @dataclass(frozen=True)
@@ -391,8 +396,8 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
 
 # --- log serialization ------------------------------------------------------------
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# one encoder for every record: json.dumps with non-default keywords builds a new one per call
+_dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
 
 
 def session_log_to_jsonl(log: SessionLog) -> bytes:
@@ -418,8 +423,13 @@ class LogFormatError(ValueError):
 def session_log_from_jsonl(data: bytes) -> SessionLog:
     # records end at "\n" only: the writer leaves U+2028, U+0085 and the like
     # raw inside strings, where str.splitlines would break them
+    try:
+        text = data.decode("utf-8")  # at once: decoding line by line is slower
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     log = None
-    for lineno, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

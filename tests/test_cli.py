@@ -376,6 +376,13 @@ class TestCmdEvaluate:
         (logs / "broken.jsonl").write_text("{definitely not a log\n", encoding="utf-8")
         assert main(["evaluate", "--logs", str(logs)]) == 2
 
+    def test_log_that_is_not_utf8_is_reported_by_line(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "broken.jsonl").write_bytes(b"\xff\n")
+        assert main(["evaluate", "--logs", str(logs)]) == 2
+        assert "bad session log, line 1: " in capsys.readouterr().err
+
     def test_inspected_scope_needs_qrels(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND",))
         run_pipeline(tmp_path, config_path)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -135,11 +138,15 @@ class _MockChatHandler(BaseHTTPRequestHandler):
 
     behaviors: list[str] = []
     requests_seen: list[dict] = []
+    headers_seen: list = []  # the request headers, one message per request
+    paths_seen: list[str] = []  # the request targets as sent
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         type(self).requests_seen.append(body)
+        type(self).headers_seen.append(self.headers)
+        type(self).paths_seen.append(self.path)
         behavior = type(self).behaviors.pop(0) if type(self).behaviors else "ok"
         if behavior == "500":
             self.send_response(500)
@@ -177,6 +184,8 @@ class _MockChatHandler(BaseHTTPRequestHandler):
 def mock_server():
     _MockChatHandler.behaviors = []
     _MockChatHandler.requests_seen = []
+    _MockChatHandler.headers_seen = []
+    _MockChatHandler.paths_seen = []
     server = HTTPServer(("127.0.0.1", 0), _MockChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -253,6 +262,21 @@ class TestHttpBackend:
         monkeypatch.setenv("SEARCHSIM_API_KEY", "sk-test")
         backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0))
         backend.complete(request_of("x"))
+        assert handler.headers_seen[0]["Authorization"] == "Bearer sk-test"
+        assert handler.headers_seen[0]["Content-Type"] == "application/json"
+        monkeypatch.delenv("SEARCHSIM_API_KEY")
+        backend.complete(request_of("x"))
+        assert "Authorization" not in handler.headers_seen[1]
+
+    def test_one_request_per_connection_with_the_json_dumps_body(self, mock_server):
+        url, handler = mock_server
+        backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0))
+        backend.complete(request_of("caf\u00e9 \u2028"))
+        assert handler.headers_seen[0]["Connection"] == "close"
+        wire = {"model": "m", "messages": [{"role": "user", "content": "caf\u00e9 \u2028"}],
+                "temperature": 0.0, "seed": 0, "n": 1}
+        assert int(handler.headers_seen[0]["Content-Length"]) == len(json.dumps(wire))
+        assert handler.requests_seen[0] == wire
 
     def test_unreachable_endpoint(self):
         config = BackendConfig(endpoint="http://127.0.0.1:9/v1/chat/completions",
@@ -264,3 +288,118 @@ class TestHttpBackend:
     def test_probe_reachable(self, mock_server):
         url, _ = mock_server
         assert probe_endpoint(BackendConfig(endpoint=url, model="m", timeout=5)) is True
+
+    def test_probe_counts_an_error_status_as_reachable(self):
+        server = HTTPServer(("127.0.0.1", 0), _NoHeadHandler)  # answers HEAD with 501
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+            assert probe_endpoint(BackendConfig(endpoint=url, model="m", timeout=5)) is True
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+
+    @pytest.mark.parametrize("reply", [b"garbage status line\r\n\r\n", b""],
+                             ids=["bad_status_line", "closed_without_reply"])
+    def test_broken_reply_is_retried_then_a_transport_failure(self, reply):
+        with _RawReplyServer(reply) as server:
+            backend = HttpBackend(BackendConfig(endpoint=server.url, model="m", retries=1,
+                                                timeout=5))
+            with pytest.raises(BackendError, match="transport failure after 2 attempts"):
+                backend.complete(request_of("x"))
+        assert server.connections == 2
+
+    def test_https_backend_reads_the_ca_store_once(self, monkeypatch):
+        loads = []
+        original = ssl.SSLContext.load_default_certs
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs",
+                            lambda self, *a: loads.append(1) or original(self, *a))
+        # nothing listens on port 9: each attempt fails before a handshake
+        backend = HttpBackend(BackendConfig(endpoint="https://127.0.0.1:9/v1/chat/completions",
+                                            model="m", retries=1, timeout=5))
+        with pytest.raises(BackendError, match="transport failure after 2 attempts"):
+            backend.complete(request_of("x"))
+        assert len(loads) == 1
+
+    def test_malformed_url_is_a_transport_failure(self):
+        backend = HttpBackend(BackendConfig(endpoint="not a url", model="m", retries=0))
+        with pytest.raises(BackendError, match="transport failure after 1 attempts"):
+            backend.complete(request_of("x"))
+
+
+class TestProxyEnvironment:
+    @pytest.fixture
+    def proxy_env(self, monkeypatch, mock_server):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        url, handler = mock_server
+        monkeypatch.setenv("http_proxy", url.rsplit("/v1/", 1)[0])
+        return monkeypatch, handler
+
+    def test_request_goes_through_the_proxy(self, proxy_env):
+        _, handler = proxy_env
+        # nothing listens on port 9, so only the proxy can answer
+        target = "http://127.0.0.1:9/v1/chat/completions"
+        backend = HttpBackend(BackendConfig(endpoint=target, model="m", retries=0))
+        assert backend.complete(request_of("x")).text == "mocked completion text"
+        assert handler.paths_seen == [target]  # the absolute-form target a proxy receives
+
+    def test_no_proxy_host_is_reached_directly(self, proxy_env, mock_server):
+        monkeypatch, handler = proxy_env
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        url, _ = mock_server
+        HttpBackend(BackendConfig(endpoint=url, model="m", retries=0)).complete(request_of("x"))
+        assert handler.paths_seen == ["/v1/chat/completions"]
+
+
+class _NoHeadHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+class _RawReplyServer:
+    """Accepts connections on a raw socket, reads each request, answers ``reply``
+    verbatim (empty: nothing) and closes; counts the connections."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.connections = 0
+        self.stopping = False
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}/v1/chat/completions"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        while True:
+            conn, _ = self.sock.accept()
+            with conn:
+                if self.stopping:
+                    return
+                self.connections += 1
+                received = b""
+                while b"\r\n\r\n" not in received:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+                head, _, body = received.partition(b"\r\n\r\n")
+                length = next((int(line.split(b":", 1)[1]) for line in head.split(b"\r\n")
+                               if line.lower().startswith(b"content-length:")), 0)
+                while len(body) < length:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    body += chunk
+                conn.sendall(self.reply)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stopping = True
+        socket.create_connection(self.sock.getsockname()).close()  # wakes accept()
+        self.thread.join(timeout=5)
+        self.sock.close()

@@ -657,6 +657,33 @@ class TestLogFiles:
         with pytest.raises(LogFormatError, match=f"line {lineno}: "):
             session_log_from_jsonl(data.encode("utf-8"))
 
+    @pytest.mark.parametrize("data, lineno", [
+        (b"\xff\n", 1),
+        (b"HEADER\n\xc3\x28\n", 2),
+    ], ids=["header_not_utf8", "record_not_utf8"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, data, lineno):
+        header = session_log_to_jsonl(make_log([])).strip()
+        with pytest.raises(LogFormatError, match=f"line {lineno}: "):
+            session_log_from_jsonl(data.replace(b"HEADER", header))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", "true"), ("seq", '"a"'), ("seq", "-1"), ("seq", "1.0"),
+        ("cost", "true"), ("cost", '"1"'), ("cost", "-1"), ("cost", "NaN"),
+        ("cost", "Infinity"), ("cost", "null"),
+    ])
+    def test_interaction_with_a_bad_seq_or_cost_is_refused(self, field, value):
+        header = session_log_to_jsonl(make_log([])).decode("utf-8").strip()
+
+        def log_with(**fields):
+            values = {"seq": "0", "cost": "1.0", **fields}
+            line = (f'{{"record":"interaction","seq":{values["seq"]},"kind":"SessionEnded",'
+                    f'"cost":{values["cost"]},"payload":{{"reason":"max_queries_reached"}}}}')
+            return f"{header}\n{line}\n".encode("utf-8")
+
+        assert len(session_log_from_jsonl(log_with()).interactions) == 1
+        with pytest.raises(LogFormatError, match=f"line 2: {field} must be"):
+            session_log_from_jsonl(log_with(**{field: value}))
+
     def test_write_read_and_manifest(self, tmp_path, twin_setup):
         _, index, topic, qrels = twin_setup
         log = run_session(topic, UserKind.RND, index, qrels,
