@@ -120,15 +120,23 @@ def default_params(task: str) -> tuple[float, int]:
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    """Turns every 3xx into an ``HTTPError`` rather than following it, so a
+    request, and its ``Authorization`` header, never leaves the endpoint."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpBackend:
     """Client for an OpenAI-style chat-completions endpoint.
 
     Each attempt is one POST on a new connection (urllib sends ``Connection:
     close``) through an opener built once per backend, so the ``*_proxy``
     variables are read when the backend is built (with a proxy set, urllib
-    checks ``no_proxy`` on each request). An ``https`` endpoint also gets one
-    TLS context, verifying against the system CA store, since building a
-    context reads the whole store.
+    checks ``no_proxy`` on each request). A redirect is never followed. An
+    ``https`` endpoint also gets one TLS context, verifying against the
+    system CA store, since building a context reads the whole store.
     """
 
     def __init__(self, config: BackendConfig):
@@ -138,7 +146,7 @@ class HttpBackend:
             context = ssl.create_default_context()
             context.set_alpn_protocols(["http/1.1"])  # as http.client sets on its own
             handlers.append(urllib.request.HTTPSHandler(context=context))
-        self._opener = urllib.request.build_opener(*handlers)
+        self._opener = urllib.request.build_opener(_RefuseRedirects, *handlers)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload: dict = {
@@ -198,9 +206,10 @@ class HttpBackend:
 
 
 def probe_endpoint(config: BackendConfig) -> bool:
-    """Cheap reachability check: does the endpoint answer a HEAD with any status?"""
+    """Cheap reachability check: does the endpoint answer a HEAD with any status?
+    A redirect counts as an answer and is not followed."""
     try:
-        with urllib.request.build_opener().open(
+        with urllib.request.build_opener(_RefuseRedirects).open(
                 urllib.request.Request(config.endpoint, method="HEAD"), timeout=config.timeout):
             pass
     except urllib.error.HTTPError as exc:

@@ -148,6 +148,8 @@ class _MockChatHandler(BaseHTTPRequestHandler):
         type(self).headers_seen.append(self.headers)
         type(self).paths_seen.append(self.path)
         behavior = type(self).behaviors.pop(0) if type(self).behaviors else "ok"
+        if self._redirect(behavior):
+            return
         if behavior == "500":
             self.send_response(500)
             self.end_headers()
@@ -173,8 +175,26 @@ class _MockChatHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def do_HEAD(self):
+        behavior = type(self).behaviors.pop(0) if type(self).behaviors else "ok"
+        if not self._redirect(behavior):
+            self.send_response(200)
+            self.end_headers()
+
+    def do_GET(self):  # only a followed redirect sends one
+        type(self).headers_seen.append(self.headers)
+        type(self).paths_seen.append(self.path)
         self.send_response(200)
         self.end_headers()
+
+    def _redirect(self, behavior: str) -> bool:
+        """Answers a ``"<3xx code> <location>"`` behavior; False for any other."""
+        if not behavior.startswith("3"):
+            return False
+        code, location = behavior.split(" ", 1)
+        self.send_response(int(code))
+        self.send_header("Location", location)
+        self.end_headers()
+        return True
 
     def log_message(self, *args):
         pass
@@ -268,6 +288,19 @@ class TestHttpBackend:
         backend.complete(request_of("x"))
         assert "Authorization" not in handler.headers_seen[1]
 
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_redirect_is_refused_and_the_key_stays_put(self, mock_server, monkeypatch, code):
+        url, handler = mock_server
+        monkeypatch.setenv("SEARCHSIM_API_KEY", "sk-test")
+        # the same server under another host name: a followed redirect would reach it
+        elsewhere = url.replace("127.0.0.1", "localhost").replace("/v1/", "/moved/")
+        handler.behaviors = [f"{code} {elsewhere}"]
+        backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=2))
+        with pytest.raises(BackendError, match=f"endpoint rejected request: HTTP {code}"):
+            backend.complete(request_of("x"))
+        assert handler.paths_seen == ["/v1/chat/completions"]
+        assert len(handler.headers_seen) == 1
+
     def test_one_request_per_connection_with_the_json_dumps_body(self, mock_server):
         url, handler = mock_server
         backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0))
@@ -287,6 +320,12 @@ class TestHttpBackend:
 
     def test_probe_reachable(self, mock_server):
         url, _ = mock_server
+        assert probe_endpoint(BackendConfig(endpoint=url, model="m", timeout=5)) is True
+
+    def test_probe_counts_a_redirect_as_reachable_without_following_it(self, mock_server):
+        url, handler = mock_server
+        # nothing listens on port 9: following the redirect would find no server
+        handler.behaviors = ["302 http://127.0.0.1:9/v1/chat/completions"]
         assert probe_endpoint(BackendConfig(endpoint=url, model="m", timeout=5)) is True
 
     def test_probe_counts_an_error_status_as_reachable(self):
