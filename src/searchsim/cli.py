@@ -1,7 +1,7 @@
 """Command-line front end: ``index``, ``simulate``, ``evaluate``, ``report``.
 
-Exit codes: 0 success, 1 validation problem, 2 runtime failure,
-3 simulation finished but anomalies exceeded the configured threshold.
+Exit codes, chosen by ``main`` alone: 0 success, 1 bad input (``REFUSALS``),
+2 any other failure, 3 simulation finished but anomalies exceeded the threshold.
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import BACKEND_HTTP, BACKEND_SCRIPTED, CampaignConfig, ConfigError
-from .corpus import ParseReport
-from .index import IndexFormatError, build_index, load_index, save_index
-from .llm import probe_endpoint
+from .corpus import ParseReport, parse_qrels
+from .index import IndexBuildError, IndexFormatError, build_index, load_index, save_index
+from .llm import BackendError, probe_endpoint
 from .metrics import (
     SCOPE_INSPECTED,
     SCOPE_JUDGED,
@@ -25,6 +25,7 @@ from .metrics import (
 )
 from .session import (
     CampaignError,
+    LogFormatError,
     read_campaign_manifest,
     read_session_log,
     run_campaign,
@@ -38,10 +39,8 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_ANOMALIES = 3
 
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# bad input, refused with a message that names it: exit 1
+REFUSALS = (ConfigError, CampaignError, IndexBuildError, IndexFormatError, LogFormatError)
 
 
 def _load_config(args) -> CampaignConfig:
@@ -60,22 +59,16 @@ def _index_path(config: CampaignConfig) -> Path:
 
 
 def cmd_index(args) -> int:
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    config = _load_config(args)
     problems = config.validate(simulate=False)
     if problems:
-        return _fail("; ".join(problems), EXIT_VALIDATION)
-    try:
-        report = ParseReport()
-        documents = config.load_documents(report)
-        index = build_index(documents, **config.index_options())
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        path = _index_path(config)
-        save_index(index, path)
-    except Exception as exc:
-        return _fail(f"indexing failed: {exc}", EXIT_RUNTIME)
+        raise ConfigError("; ".join(problems))
+    report = ParseReport()
+    documents = config.load_documents(report)
+    index = build_index(documents, **config.index_options())
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    path = _index_path(config)
+    save_index(index, path)
     print(f"indexed {index.n_docs} documents into {path}")
     print(f"n_docs={index.n_docs} vocabulary={index.vocabulary_size} "
           f"avg_doc_len={index.avg_doc_len:.2f} skipped={report.skipped}")
@@ -83,32 +76,24 @@ def cmd_index(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _load_config(args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    config = _load_config(args)
     problems = config.validate()
     index_path = _index_path(config)
     if not index_path.is_file():
         problems.append(f"index not found at {index_path}; run the index command first")
     if problems:
-        return _fail("; ".join(problems), EXIT_VALIDATION)
+        raise ConfigError("; ".join(problems))
     if config.backend_kind == BACKEND_HTTP:
         probe = replace(config.llm, timeout=min(config.llm.timeout, 10.0))
         if not probe_endpoint(probe):
-            return _fail(f"chat endpoint unreachable: {config.llm.endpoint}", EXIT_RUNTIME)
-    try:
+            raise BackendError(f"chat endpoint unreachable: {config.llm.endpoint}")
+    try:  # a term's postings are refused on first use, inside the campaign
         index = load_index(index_path)
-    except IndexFormatError as exc:
-        return _fail(f"{index_path}: {exc}", EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(f"cannot read index {index_path}: {exc}", EXIT_RUNTIME)
-    mismatches = config.index_mismatches(index)
-    if mismatches:
-        return _fail(f"index {index_path} was built with other options than the config: "
-                     f"{', '.join(mismatches)}; rebuild the index with `searchsim index`",
-                     EXIT_VALIDATION)
-    try:
+        mismatches = config.index_mismatches(index)
+        if mismatches:
+            raise ConfigError(f"index {index_path} was built with other options than the "
+                              f"config: {', '.join(mismatches)}; rebuild the index with "
+                              "`searchsim index`")
         topics = config.load_topics()
         qrels = config.load_qrels()
         backend = config.make_backend()
@@ -124,12 +109,8 @@ def cmd_simulate(args) -> int:
             write_session_log(log, logs_dir)
         write_campaign_manifest(logs_dir, logs, campaign_seed=config.campaign_seed,
                                 config_hash=config_hash)
-    except CampaignError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except IndexFormatError as exc:  # a term's postings, refused on first use
-        return _fail(f"{index_path}: {exc}", EXIT_VALIDATION)
-    except Exception as exc:
-        return _fail(f"simulation failed: {exc}", EXIT_RUNTIME)
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{index_path}: {exc}") from exc
     anomalies = sum(log.anomaly_count for log in logs)
     print(f"wrote {len(logs)} session logs to {logs_dir} "
           f"(config hash {config_hash[:12]}, {anomalies} anomalies)")
@@ -141,19 +122,25 @@ def cmd_simulate(args) -> int:
 
 
 def _collect_logs(logs_dir: Path, force: bool):
-    manifest = None
-    if (logs_dir / "manifest.json").is_file():
-        manifest = read_campaign_manifest(logs_dir)
+    manifest_path = logs_dir / "manifest.json"
+    manifest = read_campaign_manifest(logs_dir) if manifest_path.is_file() else None
+    listed = {} if manifest is None or force else {
+        s["file"]: s["interactions"] for s in manifest.get("sessions", [])}
     paths = sorted(logs_dir.glob("*.jsonl"))
-    if manifest is not None and not force:
-        present = {p.name for p in paths}
-        missing = [s["file"] for s in manifest.get("sessions", []) if s["file"] not in present]
-        if missing:
-            raise ConfigError(f"{len(missing)} session log(s) listed in "
-                              f"{logs_dir / 'manifest.json'} are missing: "
-                              f"{', '.join(missing)}; rerun with --force to evaluate "
-                              "the logs that are present")
+    present = {p.name for p in paths}
+    missing = [name for name in listed if name not in present]
+    if missing:
+        raise ConfigError(f"{len(missing)} session log(s) listed in {manifest_path} are "
+                          f"missing: {', '.join(missing)}; rerun with --force to evaluate "
+                          "the logs that are present")
     logs = [read_session_log(p) for p in paths]
+    miscounted = [f"{p.name} has {len(log.interactions)}, not {listed[p.name]}"
+                  for p, log in zip(paths, logs)
+                  if p.name in listed and len(log.interactions) != listed[p.name]]
+    if miscounted:
+        raise ConfigError(f"interaction counts differ from {manifest_path}: "
+                          f"{'; '.join(miscounted)}; rerun with --force to evaluate "
+                          "the logs as they are")
     if not logs:
         raise ConfigError(f"no session logs found in {logs_dir}")
     hashes = {log.config_hash for log in logs}
@@ -167,65 +154,52 @@ def _collect_logs(logs_dir: Path, force: bool):
 def cmd_evaluate(args) -> int:
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
-        return _fail(f"logs directory not found: {logs_dir}", EXIT_VALIDATION)
+        raise ConfigError(f"logs directory not found: {logs_dir}")
     qrels = None
     if args.qrels:
         qrels_path = Path(args.qrels)
         if not qrels_path.is_file():
-            return _fail(f"qrels file not found: {qrels_path}", EXIT_VALIDATION)
-        from .corpus import parse_qrels
+            raise ConfigError(f"qrels file not found: {qrels_path}")
         qrels = parse_qrels(qrels_path.read_bytes())
     if args.scope == SCOPE_INSPECTED and qrels is None:
-        return _fail("--scope inspected needs --qrels", EXIT_VALIDATION)
-    try:
-        logs, manifest = _collect_logs(logs_dir, args.force)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except Exception as exc:
-        return _fail(f"could not read session logs: {exc}", EXIT_RUNTIME)
+        raise ConfigError("--scope inspected needs --qrels")
+    logs, manifest = _collect_logs(logs_dir, args.force)
 
     out_dir = Path(args.out) if args.out else logs_dir.parent / "eval"
     raw_dir = out_dir / "raw"
-    try:
-        raw_dir.mkdir(parents=True, exist_ok=True)
-        name = args.name
-        by_kind: dict[str, list] = {}
-        unjudged_rows = []
-        for log in logs:
-            ig = information_gain_curve(log)
-            sd = sdcg_curve(log, b=args.sdcg_b, bq=args.sdcg_bq,
-                            scope=args.scope, qrels=qrels)
-            stem = session_log_filename(log).removesuffix(".jsonl")
-            write_csv(raw_dir / f"{stem}.ig.csv", ig.points, ("x", "y"))
-            write_csv(raw_dir / f"{stem}.sdcg.csv", sd.points, ("x", "y"))
-            by_kind.setdefault(log.user_kind.value, []).append((ig, sd))
-            unjudged_rows.append((log.user_kind.value, log.topic_id,
-                                  ig.unjudged_relevant_count))
-        entries = []
-        for kind in sorted(by_kind):
-            igs = [pair[0] for pair in by_kind[kind]]
-            sds = [pair[1] for pair in by_kind[kind]]
-            for metric, curves in (("ig", igs), ("sdcg", sds)):
-                rows = aggregate_curves(curves)
-                filename = f"{name}.{metric}.{kind}.csv"
-                write_csv(out_dir / filename, rows, ("x", "mean_y", "n"))
-                entries.append({"kind": kind, "metric": metric, "file": filename})
-        unjudged_rows.sort()
-        write_csv(out_dir / "unjudged_summary.csv", unjudged_rows,
-                  ("user_kind", "topic_id", "unjudged_relevant_count"))
-        eval_manifest = {
-            "record": "evaluation",
-            "config_hashes": sorted({log.config_hash for log in logs if log.config_hash}),
-            "campaign_seed": manifest.get("campaign_seed") if manifest else None,
-            "scope": args.scope,
-            "sdcg_b": args.sdcg_b,
-            "sdcg_bq": args.sdcg_bq,
-            "curves": entries,
-        }
-        (out_dir / "eval_manifest.json").write_text(
-            json.dumps(eval_manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    except Exception as exc:
-        return _fail(f"evaluation failed: {exc}", EXIT_RUNTIME)
+    raw_dir.mkdir(parents=True, exist_ok=True)
+    by_kind: dict[str, list] = {}
+    unjudged_rows = []
+    for log in logs:
+        ig = information_gain_curve(log)
+        sd = sdcg_curve(log, b=args.sdcg_b, bq=args.sdcg_bq, scope=args.scope, qrels=qrels)
+        stem = session_log_filename(log).removesuffix(".jsonl")
+        write_csv(raw_dir / f"{stem}.ig.csv", ig.points, ("x", "y"))
+        write_csv(raw_dir / f"{stem}.sdcg.csv", sd.points, ("x", "y"))
+        by_kind.setdefault(log.user_kind.value, []).append((ig, sd))
+        unjudged_rows.append((log.user_kind.value, log.topic_id,
+                              ig.unjudged_relevant_count))
+    entries = []
+    for kind in sorted(by_kind):
+        for metric, curves in zip(("ig", "sdcg"), zip(*by_kind[kind])):
+            rows = aggregate_curves(curves)
+            filename = f"{args.name}.{metric}.{kind}.csv"
+            write_csv(out_dir / filename, rows, ("x", "mean_y", "n"))
+            entries.append({"kind": kind, "metric": metric, "file": filename})
+    unjudged_rows.sort()
+    write_csv(out_dir / "unjudged_summary.csv", unjudged_rows,
+              ("user_kind", "topic_id", "unjudged_relevant_count"))
+    eval_manifest = {
+        "record": "evaluation",
+        "config_hashes": sorted({log.config_hash for log in logs if log.config_hash}),
+        "campaign_seed": manifest.get("campaign_seed") if manifest else None,
+        "scope": args.scope,
+        "sdcg_b": args.sdcg_b,
+        "sdcg_bq": args.sdcg_bq,
+        "curves": entries,
+    }
+    (out_dir / "eval_manifest.json").write_text(
+        json.dumps(eval_manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(entries) + 1} curve files to {out_dir}")
     return EXIT_OK
 
@@ -234,7 +208,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.eval_dir)
     manifest_path = out_dir / "eval_manifest.json"
     if not manifest_path.is_file():
-        return _fail(f"no evaluation manifest in {out_dir}", EXIT_VALIDATION)
+        raise ConfigError(f"no evaluation manifest in {out_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     rows = []
     for curve in manifest.get("curves", []):
@@ -243,7 +217,7 @@ def cmd_report(args) -> int:
             final = lines[-1].split(",")
             rows.append((curve["kind"], curve["metric"], float(final[0]), float(final[1])))
     if not rows:
-        return _fail(f"no curve files listed in {manifest_path}", EXIT_VALIDATION)
+        raise ConfigError(f"no curve files listed in {manifest_path}")
     print(f"{'user':10} {'metric':6} {'final_x':>12} {'final_mean':>12}")
     for kind, metric, x, y in sorted(rows):
         print(f"{kind:10} {metric:6} {x:12.3f} {y:12.4f}")
@@ -284,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sdcg-bq", type=float, default=4.0)
     p_eval.add_argument("--name", default="campaign", help="prefix for curve files")
     p_eval.add_argument("--force", action="store_true",
-                        help="allow logs from mixed campaign configs, and fewer "
-                        "logs than manifest.json lists")
+                        help="evaluate the logs that are present even if they mix "
+                        "campaign configs, or miss logs or interactions that "
+                        "manifest.json lists")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="print a summary of an evaluation")
@@ -298,8 +273,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except REFUSALS as exc:
+        message, code = str(exc), EXIT_VALIDATION
     except KeyboardInterrupt:
-        return _fail("interrupted", EXIT_RUNTIME)
+        message, code = "interrupted", EXIT_RUNTIME
+    except Exception as exc:
+        message, code = f"{args.command} failed: {exc}", EXIT_RUNTIME
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Information gain charges every logged interaction's cost to the effort axis
 and credits the document's recorded relevance grade whenever the user judged
 it relevant and the assessors had graded it above zero; session DCG discounts
-each query's DCG by the query's position in the session.
+each query's DCG by the query's position in the session. Both read a log as
+``session_log_from_jsonl`` accepts it, which refuses the ones they cannot.
 """
 from __future__ import annotations
 
@@ -24,10 +25,6 @@ from .session import (
 
 SCOPE_JUDGED = "judged"
 SCOPE_INSPECTED = "inspected"
-
-
-class MalformedLogError(ValueError):
-    pass
 
 
 @dataclass
@@ -79,16 +76,12 @@ def information_gain_curve(log: SessionLog, *, binarize: bool = False) -> GainCu
     unjudged_relevant = 0
     for it in log.interactions:
         effort += it.cost
-        if it.kind == JUDGMENT_MADE:
-            if "grade" not in it.payload:
-                raise MalformedLogError(
-                    f"judgment at seq {it.seq} has no recorded grade field")
-            if it.payload.get("relevant"):
-                grade = it.payload["grade"]
-                if grade is None:
-                    unjudged_relevant += 1
-                else:
-                    effect += _gain_of(grade, binarize)
+        if it.kind == JUDGMENT_MADE and it.payload["relevant"]:
+            grade = it.payload["grade"]
+            if grade is None:
+                unjudged_relevant += 1
+            else:
+                effect += _gain_of(grade, binarize)
         points.append((effort, effect))
     return GainCurve(points=points, unjudged_relevant_count=unjudged_relevant)
 
@@ -122,22 +115,15 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
     if scope == SCOPE_INSPECTED:
         for it in log.interactions:
             if it.kind == JUDGMENT_MADE:
-                recorded[it.payload["doc_id"]] = it.payload.get("grade")
+                recorded[it.payload["doc_id"]] = it.payload["grade"]
 
     for it in log.interactions:
         if it.kind == QUERY_ISSUED:
             per_query.append([])
             continue
         if scope == SCOPE_JUDGED and it.kind == JUDGMENT_MADE:
-            if not per_query:
-                raise MalformedLogError(f"judgment at seq {it.seq} precedes any query")
-            if "grade" not in it.payload:
-                raise MalformedLogError(
-                    f"judgment at seq {it.seq} has no recorded grade field")
             per_query[-1].append(_gain_of(it.payload["grade"], binarize))
         elif scope == SCOPE_INSPECTED and it.kind == SNIPPET_VIEWED:
-            if not per_query:
-                raise MalformedLogError(f"snippet view at seq {it.seq} precedes any query")
             doc_id = it.payload["doc_id"]
             if doc_id in recorded:
                 grade = recorded[doc_id]

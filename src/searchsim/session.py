@@ -420,7 +420,30 @@ class LogFormatError(ValueError):
     pass
 
 
+# the payload keys that evaluation reads, by interaction kind
+_PAYLOAD_KEYS = {QUERY_ISSUED: frozenset({"query"}), SNIPPET_VIEWED: frozenset({"doc_id"}),
+                 JUDGMENT_MADE: frozenset({"doc_id", "relevant", "grade"})}
+_AFTER_QUERY = frozenset({SNIPPET_VIEWED, DOCUMENT_VIEWED, JUDGMENT_MADE})
+
+
+def _header(record: dict) -> SessionLog:
+    log = SessionLog(record["topic_id"], UserKind(record["user_kind"]), record["seed"],
+                     initial_queries=record.get("initial_queries", []),
+                     config_hash=record.get("config_hash"))
+    for name, ok, wanted in (
+            ("topic_id", isinstance(log.topic_id, str), "a string"),
+            ("seed", type(log.seed) is int, "an integer"),
+            ("initial_queries", isinstance(log.initial_queries, list)
+             and all(isinstance(q, str) for q in log.initial_queries), "a list of strings"),
+            ("config_hash", isinstance(log.config_hash, (str, type(None))), "a string or null")):
+        if not ok:
+            raise ValueError(f"{name} must be {wanted}, got {getattr(log, name)!r}")
+    return log
+
+
 def session_log_from_jsonl(data: bytes) -> SessionLog:
+    """Parse a session log; a record that evaluation could not read is a
+    ``LogFormatError`` naming its line."""
     # records end at "\n" only: the writer leaves U+2028, U+0085 and the like
     # raw inside strings, where str.splitlines would break them
     try:
@@ -429,6 +452,7 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     log = None
+    queried = False
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -438,18 +462,23 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
             if not isinstance(record, dict) or record.get("record") != expected:
                 raise ValueError(f"not a JSON object with record {expected!r}")
             if log is None:
-                log = SessionLog(topic_id=record["topic_id"],
-                                 user_kind=UserKind(record["user_kind"]),
-                                 seed=record["seed"],
-                                 initial_queries=list(record.get("initial_queries") or []),
-                                 config_hash=record.get("config_hash"))
+                log = _header(record)
                 continue
-            payload = record["payload"]
-            if not isinstance(payload, dict) or (record["kind"] == QUERY_ISSUED
-                                                 and "query" not in payload):
-                raise ValueError("payload is not a JSON object, or lacks the query")
-            log.interactions.append(Interaction(record["seq"], record["kind"],
-                                                record["cost"], payload))
+            kind, payload = record["kind"], record["payload"]
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not a JSON object")
+            keys = _PAYLOAD_KEYS.get(kind)
+            if keys and not payload.keys() >= keys:
+                raise ValueError(f"{kind} payload lacks {sorted(keys - payload.keys())}")
+            it = Interaction(record["seq"], kind, record["cost"], payload)
+            if it.seq != len(log.interactions):
+                raise ValueError(f"seq {it.seq} is not the record's position "
+                                 f"{len(log.interactions)}")
+            if kind == QUERY_ISSUED:
+                queried = True
+            elif not queried and kind in _AFTER_QUERY:
+                raise ValueError(f"{kind} before the first {QUERY_ISSUED}")
+            log.interactions.append(it)
         except (ValueError, KeyError, TypeError) as exc:
             raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     if log is None:
@@ -468,7 +497,10 @@ def write_session_log(log: SessionLog, directory: str | Path) -> Path:
 
 
 def read_session_log(path: str | Path) -> SessionLog:
-    return session_log_from_jsonl(Path(path).read_bytes())
+    try:
+        return session_log_from_jsonl(Path(path).read_bytes())
+    except LogFormatError as exc:
+        raise LogFormatError(f"{path}: {exc}") from exc
 
 
 def write_campaign_manifest(directory: str | Path, logs: list[SessionLog], *,

@@ -49,6 +49,17 @@ def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
     return path
 
 
+def yes_replies(tmp_path):
+    """A reply table whose users issue on-topic queries and open every result."""
+    replies = tmp_path / "replies.tsv"
+    replies.write_text(
+        "Would this text be useful\tYes\n"
+        "Output only the numbered queries\t1. beekeeping permits\\n2. hive rules\n"
+        "Output only the summary\tok\n",
+        encoding="utf-8")
+    return replies
+
+
 def run_pipeline(tmp_path, config_path):
     assert main(["index", "--config", str(config_path)]) == 0
     assert main(["simulate", "--config", str(config_path)]) == 0
@@ -86,6 +97,18 @@ class TestCmdIndex:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["index", "--config", str(bad)]) == 1
+
+    def test_duplicate_docno_is_refused(self, tmp_path, capsys):
+        corpus = tmp_path / "twice.trectext"
+        corpus.write_text("<DOC><DOCNO>t1</DOCNO><TEXT>one</TEXT></DOC>\n"
+                          "<DOC><DOCNO>t1</DOCNO><TEXT>two</TEXT></DOC>\n", encoding="utf-8")
+        config_path = write_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["collection"]["corpus"] = str(corpus)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["index", "--config", str(config_path)]) == 1
+        assert "error: duplicate doc_id 't1'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "index.json").exists()
 
 
 class TestCmdSimulate:
@@ -370,11 +393,43 @@ class TestCmdEvaluate:
     def test_missing_logs_dir(self, tmp_path):
         assert main(["evaluate", "--logs", str(tmp_path / "void")]) == 1
 
-    def test_corrupt_log_is_runtime_error(self, tmp_path):
+    def test_corrupt_log_is_refused(self, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()
         (logs / "broken.jsonl").write_text("{definitely not a log\n", encoding="utf-8")
-        assert main(["evaluate", "--logs", str(logs)]) == 2
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+
+    def test_log_with_a_deleted_line_is_refused_naming_it(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("FTTC",),
+                                   reply_table=yes_replies(tmp_path))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        path = logs / "801__FTTC.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 4
+        path.write_bytes(b"".join(lines[:2] + lines[3:]))  # the record of seq 1
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: bad session log, line 3: seq 2 is not" in err
+        assert not (tmp_path / "out" / "eval").exists()
+
+    def test_log_shorter_than_manifest_lists_is_refused_unless_forced(self, tmp_path,
+                                                                      capsys):
+        config_path = write_config(tmp_path, users=("CRF",),
+                                   reply_table=yes_replies(tmp_path))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        path = logs / "801__CRF.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 5
+        path.write_bytes(b"".join(lines[:5]))  # the header and 4 interactions
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+        err = capsys.readouterr().err
+        assert f"801__CRF.jsonl has 4, not {len(lines) - 1}" in err and "--force" in err
+        assert not (tmp_path / "out" / "eval").exists()
+        assert main(["evaluate", "--logs", str(logs), "--force"]) == 0
 
     def test_log_that_is_not_utf8_is_reported_by_line(self, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -435,6 +490,20 @@ class TestCmdReport:
 
     def test_report_without_manifest(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("broken", ["missing_csv", "not_json"])
+    def test_broken_eval_dir_is_a_runtime_failure(self, tmp_path, capsys, broken):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        assert main(["evaluate", "--logs", str(tmp_path / "out" / "logs")]) == 0
+        eval_dir = tmp_path / "out" / "eval"
+        if broken == "missing_csv":
+            (eval_dir / "campaign.ig.RND.csv").unlink()
+        else:
+            (eval_dir / "eval_manifest.json").write_text("{not json", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(eval_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: report failed: ")
 
 
 class TestEndToEndDeterminism:

@@ -6,6 +6,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import searchsim.index
 import searchsim.session
@@ -417,6 +419,50 @@ class _FailsOnCall:
         return self.inner.complete(request)
 
 
+WORDS = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"]
+PROPERTY_DOCS = [Document(doc_id=f"d{i}", body=" ".join(WORDS[j % 8] for j in range(i, 3 * i + 2)))
+                 for i in range(12)]
+PROPERTY_INDEX = build_index(PROPERTY_DOCS)
+
+
+class TestWrittenLogsReadBack:
+    """Every log that run_session writes passes the reader and reads back equal."""
+
+    @settings(max_examples=80)
+    @given(kind=st.sampled_from(list(UserKind)),
+           topic_id=st.text(max_size=4),
+           title=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+           page_size=st.integers(1, 4), max_pages=st.integers(1, 3),
+           stop_kind=st.sampled_from([FIXED_DEPTH, CONSECUTIVE_IRRELEVANT]),
+           stop_value=st.integers(1, 5), max_queries=st.integers(1, 4),
+           queries_per_session=st.integers(1, 4), p_random=st.sampled_from([0.5, 1.0, 0.0]),
+           answer=st.sampled_from(["Yes", "No"]),
+           preset=st.lists(st.sampled_from(WORDS), max_size=3),
+           fail_at=st.none() | st.integers(1, 15),
+           config_hash=st.none() | st.just("cafe" * 16),
+           rng_seed=st.integers(0, 2**64 - 1))
+    def test_run_session_log_reads_back_equal(self, kind, topic_id, title, page_size,
+                                              max_pages, stop_kind, stop_value, max_queries,
+                                              queries_per_session, p_random, answer, preset,
+                                              fail_at, config_hash, rng_seed):
+        if stop_kind == FIXED_DEPTH:
+            stop_value = min(stop_value, page_size * max_pages)
+        policy = SessionPolicy(max_queries=max_queries, page_size=page_size,
+                               max_pages_per_query=max_pages,
+                               stop_rule=SnippetStopRule(stop_kind, stop_value),
+                               queries_per_session=queries_per_session, p_random=p_random)
+        qrels = QrelSet({(topic_id, d.doc_id): i % 3 for i, d in enumerate(PROPERTY_DOCS)
+                         if i % 4})
+        backend = backend_with(preset or [title], {"Would this text be useful": answer})
+        if fail_at is not None:
+            backend = _FailsOnCall(backend, fail_at)
+        log = run_session(Topic(topic_id=topic_id, title=title), kind, PROPERTY_INDEX, qrels,
+                          policy=policy, backend=backend, rng_seed=rng_seed,
+                          preset_queries=preset)
+        log.config_hash = config_hash
+        assert session_log_from_jsonl(session_log_to_jsonl(log)) == log
+
+
 class TestPinnedSessionLogs:
     # sha256 of the LLM requests and JSONL logs of the sessions below,
     # recorded when each query's pages were still fetched one search per page
@@ -683,6 +729,72 @@ class TestLogFiles:
         assert len(session_log_from_jsonl(log_with()).interactions) == 1
         with pytest.raises(LogFormatError, match=f"line 2: {field} must be"):
             session_log_from_jsonl(log_with(**{field: value}))
+
+    # the header of an old log that once loaded, with initial_queries ['a', 'b', 'c']
+    FOUND_HEADER = ('{"record":"session","topic_id":5,"user_kind":"RND","seed":"x",'
+                    '"initial_queries":"abc","config_hash":7}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("topic_id", "5"), ("topic_id", "null"), ("seed", '"x"'), ("seed", "true"),
+        ("seed", "1.0"), ("initial_queries", '"abc"'), ("initial_queries", "[1]"),
+        ("initial_queries", "null"), ("config_hash", "7"), ("config_hash", "[]"),
+    ])
+    def test_header_field_of_the_wrong_type_is_refused(self, field, value):
+        fields = {"topic_id": '"t1"', "seed": "0", "initial_queries": "[]",
+                  "config_hash": "null", field: value}
+        header = ('{"record":"session","user_kind":"RND",'
+                  + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}")
+        with pytest.raises(LogFormatError, match=f"line 1: {field} must be"):
+            session_log_from_jsonl(header.encode("utf-8"))
+
+    def test_found_header_is_refused(self):
+        with pytest.raises(LogFormatError, match="line 1: topic_id must be a string"):
+            session_log_from_jsonl(self.FOUND_HEADER.encode("utf-8"))
+
+    def test_header_without_initial_queries_or_config_hash_keeps_defaults(self):
+        log = session_log_from_jsonl(
+            b'{"record":"session","topic_id":"t1","user_kind":"RND","seed":3}\n')
+        assert (log.initial_queries, log.config_hash) == ([], None)
+
+    @pytest.mark.parametrize("kind, payload, key", [
+        (SNIPPET_VIEWED, {"rank": 1}, "doc_id"),
+        (JUDGMENT_MADE, {"relevant": True, "grade": 1}, "doc_id"),
+        (JUDGMENT_MADE, {"doc_id": "d", "grade": 1}, "relevant"),
+        (JUDGMENT_MADE, {"doc_id": "d", "relevant": True}, "grade"),
+    ], ids=["snippet_doc_id", "judgment_doc_id", "judgment_relevant", "judgment_grade"])
+    def test_payload_without_a_key_evaluation_reads(self, kind, payload, key):
+        data = session_log_to_jsonl(make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
+                                              (kind, 1.0, payload)]))
+        with pytest.raises(LogFormatError, match=f"line 3: {kind} payload lacks \\['{key}'\\]"):
+            session_log_from_jsonl(data)
+
+    @pytest.mark.parametrize("kind, payload", [
+        (SNIPPET_VIEWED, {"doc_id": "d", "rank": 1}),
+        (DOCUMENT_VIEWED, {"doc_id": "d"}),
+        (JUDGMENT_MADE, {"doc_id": "d", "relevant": True, "grade": 1}),
+    ], ids=["snippet", "document", "judgment"])
+    def test_record_before_the_first_query_is_refused(self, kind, payload):
+        rows = [(ANOMALY, 0.0, {"message": "outage"}), (kind, 1.0, payload)]
+        data = session_log_to_jsonl(make_log(rows))
+        with pytest.raises(LogFormatError, match=f"line 3: {kind} before the first QueryIssued"):
+            session_log_from_jsonl(data)
+        # an anomaly may come first: a backend can fail before any query
+        rows[1] = (SESSION_ENDED, 0.0, {"reason": END_BACKEND_FAILURE})
+        log = make_log(rows)
+        assert session_log_from_jsonl(session_log_to_jsonl(log)) == log
+
+    # deleting the last record leaves no gap; the manifest's count catches that
+    @pytest.mark.parametrize("deleted", [0, 1, 2])
+    def test_seq_that_is_not_the_record_position_is_refused(self, deleted):
+        log = make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
+                        (SNIPPET_VIEWED, 1.0, {"doc_id": "d", "rank": 1}),
+                        (ANOMALY, 0.0, {"message": "m"}),
+                        (SESSION_ENDED, 0.0, {"reason": END_MAX_QUERIES})])
+        lines = session_log_to_jsonl(log).split(b"\n")
+        del lines[1 + deleted]
+        with pytest.raises(LogFormatError, match=f"line {2 + deleted}: seq {deleted + 1} "
+                                                 f"is not the record's position {deleted}"):
+            session_log_from_jsonl(b"\n".join(lines))
 
     def test_write_read_and_manifest(self, tmp_path, twin_setup):
         _, index, topic, qrels = twin_setup
