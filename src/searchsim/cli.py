@@ -121,9 +121,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_manifest(manifest_path: Path) -> dict:
+    """The campaign manifest, refused unless each session entry names its
+    log ``file`` and gives its ``interactions`` count."""
+    try:
+        manifest = read_campaign_manifest(manifest_path.parent)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{manifest_path} is not a JSON manifest: {exc}") from exc
+    sessions = manifest.get("sessions", []) if isinstance(manifest, dict) else None
+    if not isinstance(sessions, list) or not all(
+            isinstance(s, dict) and isinstance(s.get("file"), str)
+            and type(s.get("interactions")) is int for s in sessions):
+        raise ConfigError(f"{manifest_path} is not a campaign manifest: it must be an "
+                          'object whose "sessions" each give a "file" and an integer '
+                          '"interactions"')
+    return manifest
+
+
 def _collect_logs(logs_dir: Path, force: bool):
     manifest_path = logs_dir / "manifest.json"
-    manifest = read_campaign_manifest(logs_dir) if manifest_path.is_file() else None
+    manifest = _read_manifest(manifest_path) if manifest_path.is_file() else None
     listed = {} if manifest is None or force else {
         s["file"]: s["interactions"] for s in manifest.get("sessions", [])}
     paths = sorted(logs_dir.glob("*.jsonl"))

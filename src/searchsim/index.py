@@ -1,8 +1,9 @@
-"""In-memory inverted index with BM25 ranking, result paging, and snippets."""
+"""Inverted index with BM25 ranking, result paging, and snippets."""
 from __future__ import annotations
 
 import array
 import heapq
+import io
 import json
 import math
 import mmap
@@ -14,8 +15,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
-from .corpus import Document
+from .corpus import SOURCES, Document
 
 # Alphanumeric runs, lowercased; underscores and punctuation split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -77,29 +79,34 @@ class InvertedIndex:
 
     Each term's postings are one flat ``[ordinal, tf, ordinal, tf, ...]``
     sequence with ordinals strictly ascending: a list when built, an unsigned
-    ``array`` when loaded. ``doc_ids``, ``n_docs`` and ``avg_doc_len`` are
-    derived from the documents and their lengths, and so is each document's
-    BM25 length norm. BM25 contributions are computed once per term on first
-    use; the cache publishes finished lists only and never changes them, so
-    concurrent sessions may share one index.
+    ``array`` when loaded. ``documents`` is a list when built; a loaded index
+    decodes each document from its file when it is read. ``doc_ids`` is
+    derived from the documents unless given, and ``n_docs``, ``avg_doc_len``
+    and each document's BM25 length norm from the lengths. BM25 contributions
+    are computed once per term on first use; the cache publishes finished
+    arrays only and never changes them, so concurrent sessions may share one
+    index.
     """
 
     postings: dict[str, Sequence[int]]  # term -> [doc_ordinal, tf, doc_ordinal, tf, ...]
     doc_lengths: list[int]
-    documents: list[Document]
+    documents: Sequence[Document]
     stopwords: frozenset[str] | None = None
     stem: bool = False
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    doc_ids: list[str] = field(init=False)
+    doc_ids: list[str] | None = None
     n_docs: int = field(init=False)
     avg_doc_len: float = field(init=False)
     _by_id: dict[str, int] = field(init=False, repr=False, compare=False)
-    _impacts: dict[str, list[tuple[int, float]]] = field(init=False, repr=False, compare=False)
+    # term -> (ordinals, their BM25 contributions)
+    _impacts: dict[str, tuple[Sequence[int], array.array]] = field(
+        init=False, repr=False, compare=False)
     _norms: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.doc_ids = [d.doc_id for d in self.documents]
+        if self.doc_ids is None:
+            self.doc_ids = [d.doc_id for d in self.documents]
         self.n_docs = len(self.doc_lengths)
         self.avg_doc_len = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
         self._by_id = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
@@ -119,8 +126,9 @@ class InvertedIndex:
     def document(self, doc_id: str) -> Document:
         return self.documents[self._by_id[doc_id]]
 
-    def impacts(self, term: str) -> list[tuple[int, float]]:
-        """(doc_ordinal, bm25_score) for each posting of an indexed term."""
+    def impacts(self, term: str) -> tuple[Sequence[int], array.array]:
+        """The ordinals of an indexed term's postings and, in an array of
+        doubles, each one's bm25_score."""
         impacts = self._impacts.get(term)
         if impacts is None:
             flat = self.postings[term]
@@ -136,10 +144,11 @@ class InvertedIndex:
             idf = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
             k1_plus_1 = self.k1 + 1.0
             norms = self._norms
-            impacts = [(ordinal, idf * (tf * k1_plus_1) / (tf + norms[ordinal]) if tf else 0.0)
-                       for ordinal, tf in zip(ordinals, flat[1::2])]
-            # a thread that lost the race uses the list published first
-            impacts = self._impacts.setdefault(term, impacts)
+            contributions = array.array(
+                "d", [idf * (tf * k1_plus_1) / (tf + norms[ordinal]) if tf else 0.0
+                      for ordinal, tf in zip(ordinals, flat[1::2])])
+            # a thread that lost the race uses the pair published first
+            impacts = self._impacts.setdefault(term, (ordinals, contributions))
         return impacts
 
     def scores(self, terms: list[str]) -> dict[int, float]:
@@ -151,7 +160,7 @@ class InvertedIndex:
             if term not in self.postings:
                 continue
             get = scores.get
-            for ordinal, impact in self.impacts(term):
+            for ordinal, impact in zip(*self.impacts(term)):
                 scores[ordinal] = get(ordinal, 0.0) + impact
         return scores
 
@@ -310,9 +319,15 @@ def _first_query_token(body: str, qterms: set[str]) -> tuple[int, int]:
 # --- on-disk form -------------------------------------------------------------
 
 _FORMAT_NAME = "searchsim.index"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 # the unsigned array types a block may use, narrowest first
 _TYPECODES = ("B", "H", "I")
+# the text offsets are written after the text, so their type cannot be the
+# narrowest that holds the text's length
+_OFFSET_TYPECODE = "Q"
+_OFFSET_SIZE = array.array(_OFFSET_TYPECODE).itemsize
+# each source name to its one str, which every loaded document then shares
+_SOURCES = {source: source for source in SOURCES}
 _REBUILD = "rerun `searchsim index` to rebuild it"
 
 
@@ -323,11 +338,15 @@ def _packed(values: Sequence[int], typecode: str) -> bytes:
     return packed.tobytes()
 
 
-def index_to_bytes(index: InvertedIndex) -> bytes:
-    """One JSON header line, then one little-endian unsigned integer block:
-    the document lengths, then each term's [ordinal, tf, ...] in term order,
-    in the narrowest array type that holds the largest value."""
+def _write_index(index: InvertedIndex, out: BinaryIO) -> None:
+    """One JSON header line, then the document lengths and each term's
+    [ordinal, tf, ...] in term order as one block of little-endian unsigned
+    integers in the narrowest array type that holds the largest value, then
+    each document's title and body in UTF-8, then the 2·n_docs + 1 offsets
+    into that text (title start, body start, ..., end) as little-endian
+    unsigned 64-bit integers. Each piece is written as it is made."""
     postings = index.postings
+    documents = index.documents
     terms = sorted(postings)
     # a term's largest ordinal is its last, and a tf is at most its
     # document's length, so these two maxima bound every value in the block
@@ -344,20 +363,64 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
         "stem": index.stem,
         "k1": index.k1,
         "b": index.b,
-        "documents": [
-            {"doc_id": d.doc_id, "title": d.title, "body": d.body, "source": d.source}
-            for d in index.documents
-        ],
+        "doc_ids": index.doc_ids,
+        "sources": [d.source for d in documents],
+        "untitled": [i for i, d in enumerate(documents) if d.title is None],
         "terms": terms,
         "df": [len(postings[term]) // 2 for term in terms],
     }
-    head = json.dumps(header, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8")
-    return b"".join([head, b"\n", _packed(index.doc_lengths, typecode),
-                     *(_packed(postings[term], typecode) for term in terms)])
+    out.write(json.dumps(header, sort_keys=True, ensure_ascii=False,
+                         separators=(",", ":")).encode("utf-8"))
+    out.write(b"\n")
+    out.write(_packed(index.doc_lengths, typecode))
+    for term in terms:
+        out.write(_packed(postings[term], typecode))
+    offsets = array.array(_OFFSET_TYPECODE, [0])
+    for d in documents:
+        for text in (d.title or "", d.body):
+            offsets.append(offsets[-1] + out.write(text.encode("utf-8")))
+    out.write(_packed(offsets, _OFFSET_TYPECODE))
+
+
+def index_to_bytes(index: InvertedIndex) -> bytes:
+    """The index file's bytes, as ``save_index`` writes them."""
+    out = io.BytesIO()
+    _write_index(index, out)
+    return out.getvalue()
+
+
+class _StoredDocuments(Sequence[Document]):
+    """The documents of a loaded index. Each is decoded from the file's text
+    block when it is read, and nothing decoded is kept."""
+
+    def __init__(self, doc_ids: list[str], sources: list[str], untitled: frozenset[int],
+                 text: memoryview, offsets: array.array):
+        self._doc_ids, self._sources, self._untitled = doc_ids, sources, untitled
+        self._text, self._offsets = text, offsets
+
+    def __len__(self) -> int:
+        return len(self._doc_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        title_start, body_start, end = self._offsets[2 * i:2 * i + 3]
+        text = self._text
+        try:
+            title = (None if i in self._untitled
+                     else str(text[title_start:body_start], "utf-8"))
+            body = str(text[body_start:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"document {self._doc_ids[i]!r}: its text is not "
+                                   f"UTF-8 ({exc.reason}); {_REBUILD}") from None
+        return Document(doc_id=self._doc_ids[i], title=title, body=body,
+                        source=self._sources[i])
 
 
 def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
+    """The index in a file's bytes. A loaded index reads its documents from
+    ``data``, which must stay unchanged while the index is in use."""
     view = memoryview(data)
     end = data.find(b"\n")
     if end < 0:
@@ -372,27 +435,48 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
         raise IndexFormatError(f"index format version {header.get('version')} is not "
                                f"supported (expected {_FORMAT_VERSION}); {_REBUILD}")
     try:
-        documents = [Document(doc_id=d["doc_id"], title=d["title"], body=d["body"],
-                              source=d["source"]) for d in header["documents"]]
+        doc_ids = header["doc_ids"]
+        n_docs = len(doc_ids)
+        if type(doc_ids) is not list or not all(type(doc_id) is str and doc_id.strip()
+                                                for doc_id in doc_ids):
+            raise ValueError("doc_ids must be a list of non-blank strings")
+        try:
+            sources = [_SOURCES[source] for source in header["sources"]]
+        except KeyError as exc:
+            raise ValueError(f"unknown source {exc.args[0]!r}") from None
+        if len(sources) != n_docs:
+            raise ValueError(f"{len(sources)} sources for {n_docs} documents")
+        untitled = frozenset(header["untitled"])
+        if not all(type(i) is int and 0 <= i < n_docs for i in untitled):
+            raise ValueError(f"an untitled document ordinal outside [0, {n_docs})")
         stopwords = header["stopwords"]
         typecode, itemsize = header["typecode"], header["itemsize"]
         if typecode not in _TYPECODES or array.array(typecode).itemsize != itemsize:
             raise ValueError(f"unknown block typecode {typecode!r} of {itemsize!r} bytes")
         terms, dfs = header["terms"], header["df"]
-        n_docs = len(documents)
         # a bool is an int, and true would pass the range check
         if len(dfs) != len(terms) or not all(type(df) is int and 0 < df <= n_docs
                                              for df in dfs):
             raise ValueError(f"df must hold one integer in [1, {n_docs}] per term")
-        block = view[end + 1:]
-        expected = (n_docs + 2 * sum(dfs)) * itemsize
-        if len(block) != expected:
-            raise ValueError(f"the block holds {len(block)} bytes, not the "
-                             f"{expected} its header gives")
+        block_end = end + 1 + (n_docs + 2 * sum(dfs)) * itemsize
+        text_end = len(view) - (2 * n_docs + 1) * _OFFSET_SIZE
+        if text_end < block_end:
+            raise ValueError(f"the file holds {len(view)} bytes, fewer than the "
+                             f"{block_end + len(view) - text_end} its header gives")
         values = array.array(typecode)
-        values.frombytes(block)
+        values.frombytes(view[end + 1:block_end])
+        offsets = array.array(_OFFSET_TYPECODE)
+        offsets.frombytes(view[text_end:])
         if sys.byteorder == "big":
             values.byteswap()
+            offsets.byteswap()
+        text = view[block_end:text_end]
+        if (offsets[0] != 0 or offsets[-1] != len(text)
+                or not all(map(operator.le, offsets, offsets[1:]))):
+            raise ValueError(f"the text offsets do not rise from 0 to the "
+                             f"{len(text)} bytes of the text block")
+        if any(offsets[2 * i] != offsets[2 * i + 1] for i in untitled):
+            raise ValueError("an untitled document has a title")
         postings: dict[str, Sequence[int]] = {}
         start = n_docs
         for term, df in zip(terms, dfs):
@@ -407,31 +491,45 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
             raise ValueError(f"term {term!r}: a document ordinal outside [0, {n_docs})")
         if len(postings) != len(terms):
             raise ValueError("a term is listed twice")
-        return InvertedIndex(
+        index = InvertedIndex(
             postings=postings,
             doc_lengths=values[:n_docs].tolist(),
-            documents=documents,
+            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets),
             stopwords=frozenset(stopwords) if stopwords else None,
             stem=bool(header["stem"]),
             k1=float(header["k1"]),
             b=float(header["b"]),
+            doc_ids=doc_ids,
         )
+        if len(index._by_id) != n_docs:
+            raise ValueError("a doc_id is listed twice")
+        return index
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise IndexFormatError(f"malformed index file ({exc!r}); {_REBUILD}") from exc
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    Path(path).write_bytes(index_to_bytes(index))
+    """Write the index to ``path`` through a sibling file that replaces it
+    when complete, so a failed save leaves the old file as it was, and an
+    index loaded from the old file keeps reading it."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as out:
+            _write_index(index, out)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    # The file is read into an anonymous mapping, which goes back to the
-    # system when the load is done. A heap buffer of that size, once freed,
-    # can stay with the process under what was allocated after it.
+    # The file stays mapped read-only for the index's documents; only the
+    # pages of the documents read are brought into memory. save_index
+    # replaces a file rather than writing into it, so the mapping never
+    # changes under a loaded index.
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if not size:
+        if not os.fstat(f.fileno()).st_size:
             return index_from_bytes(b"")
-        data = mmap.mmap(-1, size)
-        f.readinto(data)
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return index_from_bytes(data)

@@ -13,7 +13,7 @@ from searchsim.agents import PromptTemplates, UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
 
 from test_config import BAD_SESSION_VALUES
-from test_index import edit_v3, v2_file, v3_parts
+from test_index import edit_v4, v2_file, v4_parts
 
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
@@ -166,15 +166,27 @@ class TestCmdSimulate:
         assert main(["index", "--config", str(config_path)]) == 0
         index_path = tmp_path / "out" / "index.json"
         data = index_path.read_bytes()
-        _, _, postings = v3_parts(data)
+        postings = v4_parts(data)[2]
         # every term in two or more documents repeats its first ordinal
         repeated = {term: flat[:2] * 2 + flat[4:] for term, flat in postings.items()
                     if len(flat) >= 4}
-        index_path.write_bytes(edit_v3(data, postings=repeated))
+        index_path.write_bytes(edit_v4(data, postings=repeated))
         capsys.readouterr()
         assert main(["simulate", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {index_path}: term " in err and "strictly ascending" in err
+        assert not (tmp_path / "out" / "logs").exists()
+
+    def test_text_that_is_not_utf8_fails_naming_the_index(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        assert main(["index", "--config", str(config_path)]) == 0
+        index_path = tmp_path / "out" / "index.json"
+        data = index_path.read_bytes()
+        index_path.write_bytes(edit_v4(data, text=b"\xff" * len(v4_parts(data)[3])))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {index_path}: document " in err and "is not UTF-8" in err
         assert not (tmp_path / "out" / "logs").exists()
 
     def test_rnd_star_queries_match_fttc_in_written_logs(self, tmp_path):
@@ -389,6 +401,18 @@ class TestCmdEvaluate:
         assert gone in capsys.readouterr().err
         assert not (tmp_path / "out" / "eval").exists()
         assert main(["evaluate", "--logs", str(logs), "--force"]) == 0
+
+    @pytest.mark.parametrize("manifest", ['{"sessions": [{"x": 1}]}', "{not json", "[]"],
+                             ids=["session without file", "not JSON", "a JSON list"])
+    def test_malformed_manifest_is_refused_naming_it(self, tmp_path, capsys, manifest):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        (logs / "manifest.json").write_text(manifest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+        assert f"error: {logs / 'manifest.json'} is not a " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval").exists()
 
     def test_missing_logs_dir(self, tmp_path):
         assert main(["evaluate", "--logs", str(tmp_path / "void")]) == 1

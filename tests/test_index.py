@@ -7,14 +7,17 @@ import json
 import math
 import random
 import sys
+import tempfile
 import threading
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from searchsim.corpus import Document
+from searchsim.corpus import SOURCES, Document
 from searchsim.index import (
     ENGLISH_STOPWORDS,
     IndexBuildError,
@@ -65,55 +68,110 @@ def brute_force_search(docs, query, k1=1.2, b=0.75, stopwords=None, stem=False):
     return scored
 
 
-def v3_parts(data: bytes):
-    """A version 3 index file as (header, doc lengths, {term: flat postings})."""
-    head, _, block = data.partition(b"\n")
-    header = json.loads(head)
-    values = array.array(header["typecode"])
-    values.frombytes(block)
+def _unpacked(data: bytes, typecode: str) -> list[int]:
+    values = array.array(typecode)
+    values.frombytes(data)
     if sys.byteorder == "big":
         values.byteswap()
-    values = values.tolist()
-    n_docs = len(header["documents"])
+    return values.tolist()
+
+
+def _packed(values, typecode: str) -> bytes:
+    packed = array.array(typecode, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def v4_parts(data: bytes):
+    """A version 4 index file as (header, doc lengths, {term: flat postings},
+    text block, text offsets)."""
+    head, _, rest = data.partition(b"\n")
+    header = json.loads(head)
+    n_docs = len(header["doc_ids"])
+    block_size = (n_docs + 2 * sum(header["df"])) * header["itemsize"]
+    text_end = len(rest) - 8 * (2 * n_docs + 1)
+    values = _unpacked(rest[:block_size], header["typecode"])
     postings, start = {}, n_docs
     for term, df in zip(header["terms"], header["df"]):
         postings[term] = values[start:start + 2 * df]
         start += 2 * df
-    return header, values[:n_docs], postings
+    return (header, values[:n_docs], postings, rest[block_size:text_end],
+            _unpacked(rest[text_end:], "Q"))
 
 
-def v3_file(header: dict, lengths: list, postings: dict) -> bytes:
-    """Pack the parts into a version 3 file as given, the block in the
-    header's typecode, little-endian."""
-    block = array.array(header["typecode"], lengths)
-    for flat in postings.values():
-        block.extend(array.array(header["typecode"], flat))
-    if sys.byteorder == "big":
-        block.byteswap()
+def v4_file(header: dict, lengths: list, postings: dict, text: bytes, offsets: list) -> bytes:
+    """Pack the parts into a version 4 file as given: the block in the
+    header's typecode and the offsets as 'Q', little-endian."""
     head = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return head.encode("utf-8") + b"\n" + block.tobytes()
+    block = [lengths, *postings.values()]
+    return b"".join([head.encode("utf-8"), b"\n",
+                     *(_packed(values, header["typecode"]) for values in block),
+                     text, _packed(offsets, "Q")])
 
 
-def edit_v3(data: bytes, *, header=None, lengths=None, postings=None, df=None) -> bytes:
-    """A copy of a version 3 file with header keys, the document lengths or
-    some terms' postings replaced. Each term's df follows its postings unless
-    ``df`` gives it."""
-    fields, old_lengths, all_postings = v3_parts(data)
+def edit_v4(data: bytes, *, header=None, lengths=None, postings=None, df=None,
+            text=None, offsets=None) -> bytes:
+    """A copy of a version 4 file with header keys, the document lengths,
+    some terms' postings, the text block or its offsets replaced. Each term's
+    df follows its postings unless ``df`` gives it."""
+    fields, old_lengths, all_postings, old_text, old_offsets = v4_parts(data)
     fields.update(header or {})
     all_postings.update(postings or {})
     fields["terms"] = list(all_postings)
     fields["df"] = [(df or {}).get(term, len(flat) // 2) for term, flat in all_postings.items()]
-    return v3_file(fields, old_lengths if lengths is None else lengths, all_postings)
+    return v4_file(fields, old_lengths if lengths is None else lengths, all_postings,
+                   old_text if text is None else text,
+                   old_offsets if offsets is None else offsets)
+
+
+def stored_documents(data: bytes) -> list[dict]:
+    """The documents of a version 4 file as the JSON objects of version 3."""
+    header, _, _, text, offsets = v4_parts(data)
+    untitled = set(header["untitled"])
+    return [{"doc_id": doc_id, "source": source,
+             "title": None if i in untitled else
+             text[offsets[2 * i]:offsets[2 * i + 1]].decode("utf-8"),
+             "body": text[offsets[2 * i + 1]:offsets[2 * i + 2]].decode("utf-8")}
+            for i, (doc_id, source) in enumerate(zip(header["doc_ids"], header["sources"]))]
+
+
+def v3_file(data: bytes) -> bytes:
+    """The version 3 file of the index in a version 4 file: the documents in
+    the JSON header, no text block."""
+    header, lengths, postings, _, _ = v4_parts(data)
+    fields = {key: header[key] for key in ("format", "typecode", "itemsize", "stopwords",
+                                           "stem", "k1", "b", "terms", "df")}
+    fields.update(version=3, documents=stored_documents(data))
+    return v4_file(fields, lengths, postings, b"", [])
 
 
 def v2_file(data: bytes) -> bytes:
-    """The version 2 file of the index in a version 3 file: one JSON document."""
-    header, lengths, postings = v3_parts(data)
-    payload = {key: header[key] for key in ("format", "stopwords", "stem", "k1", "b",
-                                            "documents")}
-    payload.update(version=2, doc_lengths=lengths, postings=postings)
+    """The version 2 file of the index in a version 4 file: one JSON document."""
+    header, lengths, postings, _, _ = v4_parts(data)
+    payload = {key: header[key] for key in ("format", "stopwords", "stem", "k1", "b")}
+    payload.update(version=2, documents=stored_documents(data), doc_lengths=lengths,
+                   postings=postings)
     return json.dumps(payload, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":")).encode("utf-8")
+
+
+def truncated_block(data: bytes) -> bytes:
+    """A version 4 file with the last byte of its block cut out, and the text
+    and offsets after it as they were."""
+    header = json.loads(data.partition(b"\n")[0])
+    block_end = data.index(b"\n") + 1 + (
+        len(header["doc_ids"]) + 2 * sum(header["df"])) * header["itemsize"]
+    return data[:block_end - 1] + data[block_end:]
+
+
+def loaded_from_a_file(docs):
+    """The index of ``docs`` saved to a file and loaded back; the file stays
+    mapped after its directory is removed."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "index.json"
+        save_index(build_index(docs), path)
+        return load_index(path)
 
 
 def random_corpus(rng, max_docs=50):
@@ -212,7 +270,7 @@ class TestBuildIndex:
                 for i, (title, body) in enumerate(fields)]
         index = build_index(docs, stopwords=stopwords, stem=stem)
         assert (index.postings, index.doc_lengths) == oracle_postings(docs, stopwords, stem)
-        header, lengths, postings = v3_parts(index_to_bytes(index))
+        header, lengths, postings, _, _ = v4_parts(index_to_bytes(index))
         assert header["typecode"] == narrowest_typecode(lengths, postings)
 
     def test_title_tokens_counted_in_length(self):
@@ -227,7 +285,8 @@ class TestBuildIndex:
     @pytest.mark.parametrize("make", [
         build_index,
         lambda docs: index_from_bytes(index_to_bytes(build_index(docs))),
-    ], ids=["built", "loaded"])
+        loaded_from_a_file,
+    ], ids=["built", "loaded", "mapped"])
     def test_freed_without_the_cycle_collector(self, toy_docs, make):
         # a reference cycle would keep a used index (and its caches) alive
         # until a full collection, beside the next index a process loads
@@ -293,7 +352,9 @@ class TestImpacts:
             pairs = list(zip(flat[::2], flat[1::2]))
             df = len(pairs)
             assert 2 * df == len(flat) and df == index.df(term), term
-            assert index.impacts(term) == [
+            ordinals, impacts = index.impacts(term)
+            assert isinstance(impacts, array.array) and impacts.typecode == "d", term
+            assert list(zip(ordinals, impacts)) == [
                 (ordinal, bm25_score(tf, df, index.doc_lengths[ordinal], index.avg_doc_len,
                                      index.n_docs, k1, b))
                 for ordinal, tf in pairs], term
@@ -520,16 +581,74 @@ class TestSerialization:
         assert (loaded.n_docs, loaded.avg_doc_len) == (index.n_docs, index.avg_doc_len)
         assert search(loaded, "beekeeping") == search(index, "beekeeping")
 
+    @settings(max_examples=60)
+    @given(fields=st.lists(st.tuples(
+        st.sampled_from(["d", "Σ", "é ", "\u2028", "\n"]),
+        st.none() | st.just("") | mixed_text | st.text(max_size=12) | st.just("ΑΣ\u2028"),
+        st.just("") | mixed_text | st.text(max_size=40) | mixed_text.map(lambda t: t + "Σ"),
+        st.sampled_from(SOURCES)), max_size=6))
+    def test_documents_round_trip(self, tmp_path_factory, fields):
+        docs = [Document(doc_id=f"{prefix}{i}", title=title, body=body, source=source)
+                for i, (prefix, title, body, source) in enumerate(fields)]
+        built = build_index(docs)
+        path = tmp_path_factory.mktemp("round_trip") / "index.json"
+        save_index(built, path)
+        loaded = load_index(path)
+        assert list(loaded.documents) == docs
+        assert loaded.doc_ids == built.doc_ids
+        assert [loaded.document(d.doc_id) for d in docs] == docs
+        query = " ".join(d.full_text() for d in docs)
+        assert search(loaded, query, 1, 10) == search(built, query, 1, 10)
+
+    def test_load_leaves_the_text_in_the_file(self, tmp_path):
+        body = " ".join(["alpha", "bravo", "charlie", "delta"] * 1000)
+        docs = [Document(doc_id=f"d{i}", body=body) for i in range(200)]
+        path = tmp_path / "index.json"
+        save_index(build_index(docs), path)
+        text_size = len(v4_parts(path.read_bytes())[3])
+        assert text_size > 4_000_000
+        tracemalloc.start()
+        try:
+            index = load_index(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < text_size / 20
+        assert index.document("d7") == docs[7]
+
+    def test_saving_over_a_loaded_index_leaves_it_reading_its_own_file(
+            self, toy_docs, fixture_collection, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(toy_docs), path)
+        first = load_index(path)
+        other, _, _ = fixture_collection
+        save_index(build_index(other), path)
+        assert list(first.documents) == toy_docs
+        assert [r[1] for r in search(first, "oranges").results] == ["d2"]
+        assert list(load_index(path).documents) == other
+
+    def test_failed_save_leaves_the_old_file_and_nothing_else(self, toy_docs, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(toy_docs), path)
+        old = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the save fails after the
+        # header, the block and the first three documents' text are written
+        broken = toy_docs + [Document(doc_id="d4", body="half \ud800 pair")]
+        with pytest.raises(UnicodeEncodeError):
+            save_index(build_index(broken), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_rebuild_is_byte_identical(self, fixture_collection):
         docs, _, _ = fixture_collection
         assert index_to_bytes(build_index(docs)) == index_to_bytes(build_index(docs))
 
-    # sha256 of the version 3 bytes; a new digest means the on-disk format
+    # sha256 of the version 4 bytes; a new digest means the on-disk format
     # moved, and its version with it
     @pytest.mark.parametrize("options, digest", [
-        ({}, "a4aca26d93ece04836fa364ac2c1a64db95f7e8ea5ebacd71d01d369a209267f"),
+        ({}, "b206ce4073d823e9dfa12f9b1170ae4116fa5ae53a748019715174c73dcca8be"),
         ({"stopwords": ENGLISH_STOPWORDS, "stem": True, "k1": 0.9, "b": 0.4},
-         "e7a34f7fad8244296e77989f868077bfdf90cdf3f712b78644254d01ba3bc895"),
+         "d44c3fdcbf89726c1e137909f567282d9c2acbd79d7dabcb7ba20350f294bfd2"),
     ], ids=["defaults", "stopwords stem k1 b"])
     def test_bytes_are_pinned(self, fixture_collection, options, digest):
         docs, _, _ = fixture_collection
@@ -544,8 +663,8 @@ class TestSerialization:
             index_from_bytes(b"not json at all")
 
     def test_postings_stored_flat(self, toy_docs):
-        header, lengths, postings = v3_parts(index_to_bytes(build_index(toy_docs)))
-        assert (header["version"], header["typecode"], header["itemsize"]) == (3, "B", 1)
+        header, lengths, postings, _, _ = v4_parts(index_to_bytes(build_index(toy_docs)))
+        assert (header["version"], header["typecode"], header["itemsize"]) == (4, "B", 1)
         assert header["terms"] == sorted(postings)
         assert lengths == [7, 6, 6]
         assert postings["apples"] == [0, 2, 1, 1]
@@ -554,7 +673,7 @@ class TestSerialization:
     @pytest.mark.parametrize("tokens, typecode", [(255, "B"), (256, "H"), (65536, "I")])
     def test_block_uses_the_narrowest_typecode(self, tokens, typecode):
         data = index_to_bytes(build_index([Document(doc_id="d", body="a " * tokens)]))
-        header, _, _ = v3_parts(data)
+        header, *_ = v4_parts(data)
         assert (header["typecode"], header["itemsize"]) == (
             typecode, array.array(typecode).itemsize)
         loaded = index_from_bytes(data)
@@ -566,7 +685,7 @@ class TestSerialization:
     def test_typecode_holds_the_largest_ordinal(self, last_body, typecode):
         docs = [Document(doc_id=f"d{i}", body="a") for i in range(256)]
         data = index_to_bytes(build_index(docs + [Document(doc_id="d256", body=last_body)]))
-        header, lengths, postings = v3_parts(data)
+        header, lengths, postings, _, _ = v4_parts(data)
         assert header["typecode"] == narrowest_typecode(lengths, postings) == typecode
         assert index_to_bytes(index_from_bytes(data)) == data
 
@@ -576,53 +695,86 @@ class TestSerialization:
                                                    "rerun `searchsim index`"):
             index_from_bytes(data)
 
+    def test_version_3_rejected_with_rebuild_message(self, toy_docs):
+        data = v3_file(index_to_bytes(build_index(toy_docs)))
+        with pytest.raises(IndexFormatError, match="version 3 is not supported.*"
+                                                   "rerun `searchsim index`"):
+            index_from_bytes(data)
+
     def test_missing_field_rejected(self, toy_docs):
-        header, lengths, postings = v3_parts(index_to_bytes(build_index(toy_docs)))
+        header, *parts = v4_parts(index_to_bytes(build_index(toy_docs)))
         del header["k1"]
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(v3_file(header, lengths, postings))
+            index_from_bytes(v4_file(header, *parts))
 
     # A negative value or a non-integer cannot be written into the unsigned
-    # integer block. Each such case is its nearest version 3 corruption, named
+    # integer block. Each such case is its nearest version 4 corruption, named
     # in its id: the value in a block of the signed or float typecode that
     # holds it ('h', 'i', 'd', 'f'), or -1 wrapped to 0xFF in the 'B' block.
+    # The toy text is "red apples" + d1's body + d2's + d3's, and d2 and d3
+    # have no title, so its offsets are [0, 10, 36, 36, 68, 68, 104].
     @pytest.mark.parametrize("corrupt", [
-        lambda data: edit_v3(data, header={"typecode": "h", "itemsize": 2},
+        lambda data: edit_v4(data, header={"typecode": "h", "itemsize": 2},
                              postings={"apples": [0, -2, 1, 1]}),
-        lambda data: edit_v3(data, header={"typecode": "i", "itemsize": 4},
+        lambda data: edit_v4(data, header={"typecode": "i", "itemsize": 4},
                              lengths=[7, -4, 6]),
-        lambda data: edit_v3(data, lengths=[7, 6, 6, 5]),
-        lambda data: edit_v3(data, postings={"apples": [0, 2, 1, 1, 2, 1, 0, 1]}),
-        lambda data: edit_v3(data, postings={"apples": [0xFF, 1]}),
-        lambda data: edit_v3(data, postings={"apples": [0, 2, 7, 1]}),
-        lambda data: edit_v3(data, postings={"apples": [0, 2, 1]}, df={"apples": 2}),
-        lambda data: edit_v3(data, header={"typecode": "d", "itemsize": 8},
+        lambda data: edit_v4(data, lengths=[7, 6, 6, 5]),
+        lambda data: edit_v4(data, postings={"apples": [0, 2, 1, 1, 2, 1, 0, 1]}),
+        lambda data: edit_v4(data, postings={"apples": [0xFF, 1]}),
+        lambda data: edit_v4(data, postings={"apples": [0, 2, 7, 1]}),
+        lambda data: edit_v4(data, postings={"apples": [0, 2, 1]}, df={"apples": 2}),
+        lambda data: edit_v4(data, header={"typecode": "d", "itemsize": 8},
                              postings={"apples": [0, 1.5, 1, 1]}),
-        lambda data: edit_v3(data, header={"typecode": "f", "itemsize": 4},
+        lambda data: edit_v4(data, header={"typecode": "f", "itemsize": 4},
                              lengths=[7, 2.5, 6]),
-        lambda data: edit_v3(data, header={"typecode": "H", "itemsize": 2})[:-1],
+        lambda data: truncated_block(edit_v4(data, header={"typecode": "H", "itemsize": 2})),
         lambda data: data.replace(b'"typecode":"B"', b'"typecode":"Z"', 1),
-        lambda data: edit_v3(data, header={"itemsize": 2}),
-        lambda data: edit_v3(data, df={"red": True}),
-        lambda data: edit_v3(data, df={"red": 1.0}),
-        lambda data: edit_v3(data, df={"red": -1}),
+        lambda data: edit_v4(data, header={"itemsize": 2}),
+        lambda data: edit_v4(data, df={"red": True}),
+        lambda data: edit_v4(data, df={"red": 1.0}),
+        lambda data: edit_v4(data, df={"red": -1}),
         lambda data: data.replace(b'"terms":["and","apple",', b'"terms":["and","and",', 1),
+        lambda data: edit_v4(data, header={"doc_ids": ["d1", "d2", "d1"]}),
+        lambda data: edit_v4(data, header={"doc_ids": ["d1", " ", "d3"]}),
+        lambda data: edit_v4(data, header={"sources": ["synthetic", "web", "synthetic"]}),
+        lambda data: edit_v4(data, header={"sources": ["synthetic", "synthetic"]}),
+        lambda data: edit_v4(data, header={"untitled": [1, 2, 3]}),
+        lambda data: edit_v4(data, header={"untitled": [0, 1, 2]}),
+        lambda data: edit_v4(data, offsets=[0, 36, 10, 36, 68, 68, 104]),
+        lambda data: edit_v4(data, offsets=[1, 10, 36, 36, 68, 68, 104]),
+        lambda data: edit_v4(data, offsets=[0, 10, 36, 36, 68, 68, 103]),
+        lambda data: edit_v4(data, text=v4_parts(data)[3] + b"!"),
+        lambda data: data[:data.index(b"\n") + 9],
     ], ids=["negative tf as 'h'", "negative doc length as 'i'",
             "more lengths than documents", "df above n_docs",
             "negative ordinal as 0xFF", "ordinal past the last document",
             "odd-length postings", "float tf as 'd'",
             "float doc length as 'f'", "truncated block", "unknown typecode",
             "itemsize unequal to the typecode's", "df true", "df 1.0", "df -1",
-            "term listed twice"])
+            "term listed twice", "doc_id listed twice", "blank doc_id", "unknown source",
+            "fewer sources than documents", "untitled ordinal out of range",
+            "untitled document with a title", "descending offsets",
+            "offsets not starting at 0", "offsets ending before the text",
+            "text past the last offset", "file shorter than its header says"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
         data = corrupt(index_to_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="malformed"):
             index_from_bytes(data)
 
+    def test_text_that_is_not_utf8_is_refused_on_first_read(self, toy_docs):
+        data = index_to_bytes(build_index(toy_docs))
+        text = v4_parts(data)[3]
+        index = index_from_bytes(edit_v4(data, text=text[:36] + b"\xff" + text[37:]))
+        assert index.document("d1") == toy_docs[0]
+        for _ in range(2):
+            with pytest.raises(IndexFormatError, match="document 'd2'.* not UTF-8.*"
+                                                       "rerun `searchsim index`"):
+                index.document("d2")
+
     @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2]],
                              ids=["repeated ordinal", "descending ordinal"])
     def test_unordered_ordinals_rejected_on_first_use(self, toy_docs, apples):
-        data = edit_v3(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
+        data = edit_v4(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
         index = index_from_bytes(data)
         assert [r[1] for r in search(index, "oranges").results] == ["d2"]
         for _ in range(2):  # nothing is cached for the refused term
