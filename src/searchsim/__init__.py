@@ -6,6 +6,7 @@ from .agents import (
     LLM_KINDS,
     RANDOM_KINDS,
     KnowledgeState,
+    LLMUser,
     Persona,
     PromptTemplates,
     UserKind,

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Document, Topic
+from .corpus import Topic
 from .index import ENGLISH_STOPWORDS, tokenize
 from .llm import (
     TAG_FOLLOWUP_QUERY,
@@ -173,71 +173,85 @@ class KnowledgeState:
     relevant_summary: str | None = None
     irrelevant_summary: str | None = None
     judged: dict[str, bool] = field(default_factory=dict)  # doc_id -> relevant, in judgment order
-    _texts: dict[str, str] = field(default_factory=dict, repr=False)
+    _texts: dict[str, str] = field(default_factory=dict, repr=False)  # summarized sides only
 
-    def record(self, doc_id: str, text: str, relevant: bool) -> None:
+    def record(self, doc_id: str, relevant: bool, text: str | None = None) -> None:
+        """Add a judgment, keeping ``text`` when given: for a side that is summarized."""
         if doc_id in self.judged:
             raise ValueError(f"document {doc_id!r} was already judged")
         self.judged[doc_id] = relevant
-        self._texts[doc_id] = text
+        if text is not None:
+            self._texts[doc_id] = text
 
     def texts_for(self, relevant: bool) -> list[str]:
-        """The texts judged on one side, in judgment order."""
-        return [self._texts[d] for d, r in self.judged.items() if r == relevant]
+        """The texts kept for one side, in judgment order."""
+        return [text for d, text in self._texts.items() if self.judged[d] == relevant]
+
+
+@dataclass
+class LLMUser:
+    """One LLM-backed user for one session: what its prompts show and where
+    they go are fixed when the session starts; ``state`` grows as it judges."""
+
+    kind: UserKind
+    topic: Topic
+    backend: object
+    templates: PromptTemplates
+    on_anomaly: AnomalySink
+    state: KnowledgeState = field(default_factory=KnowledgeState)
+
+    def __post_init__(self):
+        self.kind = UserKind(self.kind)
+        if self.kind not in LLM_KINDS:
+            raise ValueError(f"{self.kind.value} decides relevance randomly, not via the LLM")
+        if self.backend is None:
+            raise ValueError(f"{self.kind.value} requires a chat backend")
 
 
 # --- prompt assembly ----------------------------------------------------------
 
-def _context(topic: Topic, kind: UserKind, state: KnowledgeState | None) -> dict[str, str]:
-    """The topic and summary placeholders of ``kind``'s prompts, labelled or empty."""
-    full = kind not in TITLE_ONLY_KINDS
+def _context(user: LLMUser, summaries: bool = True) -> dict[str, str]:
+    """The topic and summary placeholders of the user's prompts, labelled or empty."""
+    topic = user.topic
+    full = user.kind not in TITLE_ONLY_KINDS
     values = {
         "title": f"Title: {topic.title}\n",
         "description": f"Description: {topic.description}\n"
                        if full and topic.description else "",
         "narrative": f"Narrative: {topic.narrative}\n" if full and topic.narrative else "",
     }
-    for side, wanted in zip(("relevant", "irrelevant"), SUMMARY_SIDES[kind]):
-        summary = wanted and state is not None and getattr(state, f"{side}_summary")
+    for side, wanted in zip(("relevant", "irrelevant"), SUMMARY_SIDES[user.kind]):
+        summary = wanted and summaries and getattr(user.state, f"{side}_summary")
         values[f"{side}_summary"] = (
             f"Summary of the results you previously judged {side}:\n{summary}\n"
             if summary else "")
     return values
 
 
-def _messages(templates: PromptTemplates | None, name: str,
+def _messages(templates: PromptTemplates, name: str,
               values: dict[str, str]) -> tuple[ChatMessage, ChatMessage]:
-    templates = templates or default_templates()
     return (ChatMessage("system", templates.system),
             ChatMessage("user", templates.render(name, **values)))
 
 
-def build_initial_queries_prompt(topic: Topic, kind: UserKind, n_queries: int, *,
-                                 templates: PromptTemplates | None = None
-                                 ) -> tuple[ChatMessage, ...]:
-    return _messages(templates, "initial_queries",
-                     {**_context(topic, kind, None), "n_queries": str(n_queries)})
+def build_initial_queries_prompt(user: LLMUser, n_queries: int) -> tuple[ChatMessage, ...]:
+    # no judgment precedes the initial queries, so no summary enters
+    return _messages(user.templates, "initial_queries",
+                     {**_context(user, summaries=False), "n_queries": str(n_queries)})
 
 
-def build_judge_prompt(topic: Topic, kind: UserKind, state: KnowledgeState | None,
-                       document_text: str, *,
-                       templates: PromptTemplates | None = None) -> tuple[ChatMessage, ...]:
-    return _messages(templates, "judge",
-                     {**_context(topic, kind, state), "document": document_text})
+def build_judge_prompt(user: LLMUser, document_text: str) -> tuple[ChatMessage, ...]:
+    return _messages(user.templates, "judge", {**_context(user), "document": document_text})
 
 
-def build_followup_prompt(topic: Topic, kind: UserKind, state: KnowledgeState,
-                          past_queries: list[str], *,
-                          templates: PromptTemplates | None = None
-                          ) -> tuple[ChatMessage, ...]:
+def build_followup_prompt(user: LLMUser, past_queries: list[str]) -> tuple[ChatMessage, ...]:
     numbered = "\n".join(f"{i}. {q}" for i, q in enumerate(past_queries, 1))
-    return _messages(templates, "followup_query",
-                     {**_context(topic, kind, state), "past_queries": numbered})
+    return _messages(user.templates, "followup_query",
+                     {**_context(user), "past_queries": numbered})
 
 
-def build_summarize_prompt(texts: list[str], relevant: bool, *, max_words: int = 200,
-                           templates: PromptTemplates | None = None
-                           ) -> tuple[ChatMessage, ...]:
+def build_summarize_prompt(templates: PromptTemplates, texts: list[str], relevant: bool,
+                           max_words: int) -> tuple[ChatMessage, ...]:
     blocks = "\n\n".join(f"Article {i}:\n{t}" for i, t in enumerate(texts, 1))
     polarity = "relevant" if relevant else "irrelevant"
     return _messages(templates, "summarize",
@@ -302,34 +316,28 @@ def _stricter(messages: tuple[ChatMessage, ...], instruction: str) -> tuple[Chat
     return messages[:-1] + (ChatMessage("user", messages[-1].content + instruction),)
 
 
-def generate_initial_queries(backend, topic: Topic, kind: UserKind, *,
-                             n_queries: int = 10,
-                             templates: PromptTemplates | None = None,
-                             on_anomaly: AnomalySink | None = None) -> list[str]:
+def generate_initial_queries(user: LLMUser, n_queries: int) -> list[str]:
     """One up-front LLM call producing the session's query list.
 
     Feedback users start from the same kind of list as FTTC; only the amount
     of topic context in the prompt differs (per TITLE_ONLY_KINDS).
     """
-    if kind not in LLM_KINDS:
-        raise ValueError(f"{kind.value} does not generate queries with the LLM")
-    messages = build_initial_queries_prompt(topic, kind, n_queries, templates=templates)
-    queries = parse_query_list(_ask(backend, messages, TAG_QUERY_GENERATION))[:n_queries]
+    messages = build_initial_queries_prompt(user, n_queries)
+    queries = parse_query_list(_ask(user.backend, messages, TAG_QUERY_GENERATION))[:n_queries]
     if len(queries) < n_queries:
         retry = _stricter(messages, f"\nReturn exactly {n_queries} numbered queries "
                                     "and nothing else.")
-        queries = parse_query_list(_ask(backend, retry, TAG_QUERY_GENERATION))[:n_queries]
+        queries = parse_query_list(_ask(user.backend, retry, TAG_QUERY_GENERATION))[:n_queries]
     if not queries:
         raise QueryGenerationError(
-            f"no queries could be parsed from the backend reply for topic {topic.topic_id}")
-    if len(queries) < n_queries and on_anomaly:
-        on_anomaly(f"initial query list has {len(queries)} of {n_queries} requested queries")
+            f"no queries could be parsed from the backend reply for topic {user.topic.topic_id}")
+    if len(queries) < n_queries:
+        user.on_anomaly(f"initial query list has {len(queries)} of {n_queries} requested queries")
     return queries
 
 
-def generate_query_naive(topic: Topic, rng, *, n_terms: int = 3,
-                         stopwords: frozenset[str] = ENGLISH_STOPWORDS,
-                         on_anomaly: AnomalySink | None = None) -> str:
+def generate_query_naive(topic: Topic, rng, *, on_anomaly: AnomalySink, n_terms: int = 3,
+                         stopwords: frozenset[str] = ENGLISH_STOPWORDS) -> str:
     """Sample distinct terms uniformly from the topic's vocabulary.
 
     The vocabulary is the alphabetically sorted set of non-stopword tokens in
@@ -351,8 +359,7 @@ def generate_query_naive(topic: Topic, rng, *, n_terms: int = 3,
         message = (f"topic {topic.topic_id} vocabulary has {len(vocabulary)} < "
                    f"{n_terms} terms; sampling with replacement")
         logger.warning(message)
-        if on_anomaly:
-            on_anomaly(message)
+        on_anomaly(message)
         picks = [vocabulary[rng.randrange(len(vocabulary))] for _ in range(n_terms)]
     return " ".join(picks)
 
@@ -364,74 +371,60 @@ def decide_relevance_random(rng, p: float = 0.5) -> bool:
     return rng.random() < p
 
 
-def decide_relevance_llm(backend, topic: Topic, kind: UserKind,
-                         state: KnowledgeState | None, document_text: str, *,
-                         templates: PromptTemplates | None = None,
-                         on_anomaly: AnomalySink | None = None) -> bool:
+def decide_relevance_llm(user: LLMUser, text: str) -> bool:
     """Binary LLM judgment of a text at temperature 0.
 
     An unreadable reply is retried once, then treated as not relevant with a
     reported anomaly.
     """
-    if kind in RANDOM_KINDS:
-        raise ValueError(f"{kind.value} decides relevance randomly, not via the LLM")
-    messages = build_judge_prompt(topic, kind, state, document_text, templates=templates)
+    messages = build_judge_prompt(user, text)
     for _ in range(2):
-        verdict = parse_yes_no(_ask(backend, messages, TAG_RELEVANCE_JUDGMENT))
+        verdict = parse_yes_no(_ask(user.backend, messages, TAG_RELEVANCE_JUDGMENT))
         if verdict is not None:
             return verdict
-    if on_anomaly:
-        on_anomaly("judgment reply matched neither yes nor no twice; treating as not relevant")
+    user.on_anomaly("judgment reply matched neither yes nor no twice; treating as not relevant")
     return False
 
 
-def update_knowledge_state(backend, state: KnowledgeState, document: Document,
-                           relevant: bool, *,
-                           templates: PromptTemplates | None = None,
-                           max_words: int = 200,
-                           on_anomaly: AnomalySink | None = None) -> KnowledgeState:
+def update_knowledge_state(user: LLMUser, doc_id: str, text: str, relevant: bool,
+                           max_words: int) -> None:
     """Absorb a fresh judgment and regenerate that side's summary.
 
     The summary is rebuilt from scratch over all documents judged on the same
     side so far. If the summarization call fails, the previous summary is
     kept and the failure reported; the judgment itself is never rolled back.
     """
-    state.record(document.doc_id, document.full_text(), relevant)
-    texts = state.texts_for(relevant)
-    messages = build_summarize_prompt(texts, relevant, max_words=max_words,
-                                      templates=templates)
+    state = user.state
+    state.record(doc_id, relevant, text)
+    messages = build_summarize_prompt(user.templates, state.texts_for(relevant), relevant,
+                                      max_words)
     try:
-        summary = _ask(backend, messages, TAG_SUMMARIZATION).strip()
+        summary = _ask(user.backend, messages, TAG_SUMMARIZATION).strip()
     except Exception as exc:  # backend failure must not lose the judgment
         message = f"summarization failed, keeping previous summary: {exc}"
         logger.warning(message)
-        if on_anomaly:
-            on_anomaly(message)
-        return state
+        user.on_anomaly(message)
+        return
     if relevant:
         state.relevant_summary = summary
     else:
         state.irrelevant_summary = summary
-    return state
 
 
-def generate_followup_query(backend, topic: Topic, kind: UserKind,
-                            state: KnowledgeState, past_queries: list[str], *,
-                            templates: PromptTemplates | None = None,
-                            on_anomaly: AnomalySink | None = None) -> str:
+def generate_followup_query(user: LLMUser, past_queries: list[str]) -> str:
     """One new query informed by the kind's summaries, at temperature 1.0.
 
     A reply duplicating a past query is retried once and then accepted with a
     reported anomaly.
     """
-    if kind not in FEEDBACK_KINDS:
-        raise ValueError(f"{kind.value} never reformulates queries")
-    if not state.judged:
+    if user.kind not in FEEDBACK_KINDS:
+        raise ValueError(f"{user.kind.value} never reformulates queries")
+    if not user.state.judged:
         raise ValueError("no judgments yet; the pre-generated queries still apply")
-    messages = build_followup_prompt(topic, kind, state, past_queries, templates=templates)
+    messages = build_followup_prompt(user, past_queries)
     query = ""
     for attempt in range(2):
-        lines = parse_query_list(_ask(backend, messages, TAG_FOLLOWUP_QUERY))
+        lines = parse_query_list(_ask(user.backend, messages, TAG_FOLLOWUP_QUERY))
         query = lines[0] if lines else ""
         if query and query not in past_queries:
             return query
@@ -439,8 +432,6 @@ def generate_followup_query(backend, topic: Topic, kind: UserKind,
             messages = _stricter(messages, "\nDo not repeat any earlier query.")
     if not query:
         raise QueryGenerationError(
-            f"no follow-up query could be parsed for topic {topic.topic_id}")
-    if on_anomaly:
-        on_anomaly(f"follow-up query duplicates a past query: {query!r}")
+            f"no follow-up query could be parsed for topic {user.topic.topic_id}")
+    user.on_anomaly(f"follow-up query duplicates a past query: {query!r}")
     return query
-

@@ -394,9 +394,10 @@ class _StoredDocuments(Sequence[Document]):
     block when it is read, and nothing decoded is kept."""
 
     def __init__(self, doc_ids: list[str], sources: list[str], untitled: frozenset[int],
-                 text: memoryview, offsets: array.array):
+                 text: memoryview, offsets: array.array, data: bytes | mmap.mmap):
         self._doc_ids, self._sources, self._untitled = doc_ids, sources, untitled
         self._text, self._offsets = text, offsets
+        self._mapping = data if isinstance(data, mmap.mmap) else None
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -405,6 +406,10 @@ class _StoredDocuments(Sequence[Document]):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
+        # reading a mapped page past the end of a file cut short in place is SIGBUS
+        if self._mapping is not None and self._mapping.size() < len(self._mapping):
+            raise IndexFormatError(f"the index file changed since it was loaded: it holds "
+                                   f"{self._mapping.size()} of {len(self._mapping)} bytes")
         title_start, body_start, end = self._offsets[2 * i:2 * i + 3]
         text = self._text
         try:
@@ -494,7 +499,7 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
         index = InvertedIndex(
             postings=postings,
             doc_lengths=values[:n_docs].tolist(),
-            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets),
+            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets, data),
             stopwords=frozenset(stopwords) if stopwords else None,
             stem=bool(header["stem"]),
             k1=float(header["k1"]),

@@ -51,7 +51,6 @@ class ChatRequest:
     messages: tuple[ChatMessage, ...]
     temperature: float = 0.0
     seed: int = 0
-    max_tokens: int | None = None
     tag: str | None = None
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ class BackendConfig:
     api_key_env: str = "SEARCHSIM_API_KEY"
     timeout: float = 60.0
     retries: int = 2
-    max_tokens: int | None = None  # applied when a request leaves its own unset
+    max_tokens: int | None = None  # sent with every request when set
 
     def __post_init__(self):
         optional_str = (str, type(None))
@@ -156,10 +155,8 @@ class HttpBackend:
             "seed": request.seed,
             "n": 1,
         }
-        max_tokens = request.max_tokens if request.max_tokens is not None \
-            else self.config.max_tokens
-        if max_tokens is not None:
-            payload["max_tokens"] = max_tokens
+        if self.config.max_tokens is not None:
+            payload["max_tokens"] = self.config.max_tokens
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env, "")

@@ -48,21 +48,17 @@ class SdcgCurve:
     """Cumulative session DCG after each query position (1-based)."""
 
     points: list[tuple[int, float]]
-    b: float
-    bq: float
 
     @property
     def final_value(self) -> float:
         return self.points[-1][1] if self.points else 0.0
 
 
-def _gain_of(grade: int | None, binarize: bool) -> float:
-    if grade is None or grade <= 0:
-        return 0.0
-    return 1.0 if binarize else float(grade)
+def _gain_of(grade: int | None) -> float:
+    return float(grade) if grade is not None and grade > 0 else 0.0
 
 
-def information_gain_curve(log: SessionLog, *, binarize: bool = False) -> GainCurve:
+def information_gain_curve(log: SessionLog) -> GainCurve:
     """Walk the log in order, accumulating cost as effort and grades as effect.
 
     A judgment only contributes when the user called the document relevant
@@ -81,7 +77,7 @@ def information_gain_curve(log: SessionLog, *, binarize: bool = False) -> GainCu
             if grade is None:
                 unjudged_relevant += 1
             else:
-                effect += _gain_of(grade, binarize)
+                effect += _gain_of(grade)
         points.append((effort, effect))
     return GainCurve(points=points, unjudged_relevant_count=unjudged_relevant)
 
@@ -95,8 +91,7 @@ def _dcg(gains: Sequence[float], b: float) -> float:
 
 
 def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
-               scope: str = SCOPE_JUDGED, qrels: QrelSet | None = None,
-               binarize: bool = False) -> SdcgCurve:
+               scope: str = SCOPE_JUDGED, qrels: QrelSet | None = None) -> SdcgCurve:
     """Per-query DCG discounted by 1/(1 + log_bq q), accumulated over queries.
 
     Within a query, rank i's divisor is 1 for i < b and log_b(i) otherwise.
@@ -122,7 +117,7 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
             per_query.append([])
             continue
         if scope == SCOPE_JUDGED and it.kind == JUDGMENT_MADE:
-            per_query[-1].append(_gain_of(it.payload["grade"], binarize))
+            per_query[-1].append(_gain_of(it.payload["grade"]))
         elif scope == SCOPE_INSPECTED and it.kind == SNIPPET_VIEWED:
             doc_id = it.payload["doc_id"]
             if doc_id in recorded:
@@ -131,7 +126,7 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
                 grade = qrels.grade(log.topic_id, doc_id)
             else:
                 grade = None
-            per_query[-1].append(_gain_of(grade, binarize))
+            per_query[-1].append(_gain_of(grade))
 
     points: list[tuple[int, float]] = []
     cumulative = 0.0
@@ -139,7 +134,7 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
         discount = 1.0 / (1.0 + math.log(q, bq))
         cumulative += discount * _dcg(gains, b)
         points.append((q, cumulative))
-    return SdcgCurve(points=points, b=b, bq=bq)
+    return SdcgCurve(points=points)
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -22,11 +22,13 @@ from .agents import (
     LLM_KINDS,
     SUMMARY_SIDES,
     KnowledgeState,
+    LLMUser,
     PromptTemplates,
     QueryGenerationError,
     UserKind,
     decide_relevance_llm,
     decide_relevance_random,
+    default_templates,
     generate_initial_queries,
     generate_query_naive,
     generate_followup_query,
@@ -188,22 +190,20 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     """Run one simulated session and return its interaction log.
 
     The snippet-level open/skip decision uses the same relevance mechanism as
-    the document judgment, applied to the snippet text, which is built only
-    for the LLM kinds that read it. Documents already judged in this session
+    the document judgment, applied to the snippet text. Only the LLM kinds
+    read a document, to build that snippet and the judged text; RND and
+    RND_STAR draw without reading. Documents already judged in this session
     are skipped without cost when they reappear in a later result list.
     Backend failures end the session with a marked, partial log.
     """
     policy = policy or SessionPolicy()
     cost = cost_model or CostModel()
     kind = UserKind(kind)
-    if kind in LLM_KINDS and backend is None:
-        raise ValueError(f"{kind.value} requires a chat backend")
     if kind is UserKind.RND_STAR and preset_queries is None:
         raise ValueError("RND_STAR requires preset_queries (FTTC's query list)")
 
     rng = random.Random(rng_seed)
     log = SessionLog(topic_id=topic.topic_id, user_kind=kind, seed=rng_seed)
-    state = KnowledgeState()
 
     def _log(kind_: str, cost_: float, **payload) -> None:
         log.interactions.append(Interaction(len(log.interactions), kind_, cost_, payload))
@@ -211,19 +211,20 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
     def _anomaly(message: str) -> None:
         _log(ANOMALY, 0.0, message=message)
 
+    user = (LLMUser(kind, topic, backend, templates or default_templates(), _anomaly)
+            if kind in LLM_KINDS else None)
+    state = user.state if user else KnowledgeState()
+
     def _decide(read) -> bool:  # a random user draws and never calls read()
-        if kind in LLM_KINDS:
-            return decide_relevance_llm(backend, topic, kind, state, read(),
-                                        templates=templates, on_anomaly=_anomaly)
+        if user:
+            return decide_relevance_llm(user, read())
         return decide_relevance_random(rng, policy.p_random)
 
     def _next_query(position: int) -> str | None:
         if kind is UserKind.RND:
             return generate_query_naive(topic, rng, on_anomaly=_anomaly)
         if kind in FEEDBACK_KINDS and state.judged:
-            return generate_followup_query(backend, topic, kind, state,
-                                           log.queries_issued, templates=templates,
-                                           on_anomaly=_anomaly)
+            return generate_followup_query(user, log.queries_issued)
         if position < len(log.initial_queries):
             return log.initial_queries[position]
         return None
@@ -242,24 +243,23 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             _log(SNIPPET_VIEWED, cost.snippet_cost, doc_id=doc_id, rank=rank)
             viewed += 1
             relevant = False
-            document = index.document(doc_id)
+            document = index.document(doc_id) if user else None
             # looked up on its module, so a replacement there sees every call
             if _decide(lambda: index_module.make_snippet(document, query,
                                                          policy.snippet_max_chars)):
-                text = document.full_text()
+                text = document.full_text() if user else None
                 _log(DOCUMENT_VIEWED, cost.document_cost, doc_id=doc_id)
                 relevant = _decide(lambda: text)
                 grade = qrels.grade(topic.topic_id, doc_id)
                 _log(JUDGMENT_MADE, cost.judgment_cost, doc_id=doc_id,
                      relevant=relevant, grade=grade)
-                # summarize only a side that the kind's prompts read
+                # summarize only a side that the kind's prompts read; only
+                # such a side keeps its texts
                 if SUMMARY_SIDES[kind][0 if relevant else 1]:
-                    update_knowledge_state(backend, state, document, relevant,
-                                           templates=templates,
-                                           max_words=policy.max_summary_words,
-                                           on_anomaly=_anomaly)
+                    update_knowledge_state(user, doc_id, text, relevant,
+                                           policy.max_summary_words)
                 else:
-                    state.record(doc_id, text, relevant)
+                    state.record(doc_id, relevant)
             consecutive = 0 if relevant else consecutive + 1
 
     reason = END_MAX_QUERIES
@@ -268,9 +268,7 @@ def run_session(topic: Topic, kind: UserKind, index: InvertedIndex, qrels: QrelS
             # an empty preset (degraded FTTC run) exhausts immediately
             log.initial_queries = list(preset_queries)
         elif kind is not UserKind.RND:
-            log.initial_queries = generate_initial_queries(
-                backend, topic, kind, n_queries=policy.queries_per_session,
-                templates=templates, on_anomaly=_anomaly)
+            log.initial_queries = generate_initial_queries(user, policy.queries_per_session)
         for position in range(policy.max_queries):
             query = _next_query(position)
             if query is None:

@@ -1,4 +1,4 @@
-"""Deterministic backends for tests and demos.
+"""Deterministic backends for the tests, and LLM users over them.
 
 CapturingBackend records every request it forwards, which makes prompt
 content assertable. QrelsOracleBackend answers relevance prompts straight
@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 
-from .corpus import Document, QrelSet, Topic
-from .index import ENGLISH_STOPWORDS, tokenize
-from .llm import (
+from searchsim.agents import KnowledgeState, LLMUser, UserKind, default_templates
+from searchsim.corpus import Document, QrelSet, Topic
+from searchsim.index import ENGLISH_STOPWORDS, tokenize
+from searchsim.llm import (
     TAG_FOLLOWUP_QUERY,
     TAG_QUERY_GENERATION,
     TAG_RELEVANCE_JUDGMENT,
@@ -20,6 +21,14 @@ from .llm import (
     ChatResponse,
     ScriptedBackend,
 )
+
+
+def llm_user(kind: UserKind, topic: Topic, backend=None, *, state: KnowledgeState | None = None,
+             templates=None, on_anomaly=None) -> LLMUser:
+    """An ``LLMUser`` on the scripted backend, the shipped templates and a
+    fresh knowledge state, dropping anomalies, unless told otherwise."""
+    return LLMUser(kind, topic, backend or ScriptedBackend(), templates or default_templates(),
+                   on_anomaly or (lambda message: None), state or KnowledgeState())
 
 
 class CapturingBackend:

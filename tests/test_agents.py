@@ -15,6 +15,7 @@ from searchsim.agents import (
     RANDOM_KINDS,
     TITLE_ONLY_KINDS,
     KnowledgeState,
+    LLMUser,
     Persona,
     PromptTemplates,
     QueryGenerationError,
@@ -32,7 +33,7 @@ from searchsim.agents import (
     parse_yes_no,
     update_knowledge_state,
 )
-from searchsim.corpus import Document, Topic
+from searchsim.corpus import Topic
 from searchsim.llm import (
     TAG_QUERY_GENERATION,
     TAG_RELEVANCE_JUDGMENT,
@@ -41,7 +42,7 @@ from searchsim.llm import (
     ChatResponse,
     ScriptedBackend,
 )
-from searchsim.testing import CapturingBackend
+from backends import CapturingBackend, llm_user
 
 
 class ConstantBackend:
@@ -87,12 +88,12 @@ class TestParsing:
 class TestInitialQueries:
     def test_parse_from_scripted_reply(self, toy_topic):
         backend = ConstantBackend("1. a b\n2. c d")
-        queries = generate_initial_queries(backend, toy_topic, UserKind.FTTC, n_queries=2)
+        queries = generate_initial_queries(llm_user(UserKind.FTTC, toy_topic, backend), 2)
         assert queries == ["a b", "c d"]
 
     def test_ttt_prompt_contains_title_only(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("1. q1\n2. q2"))
-        generate_initial_queries(backend, toy_topic, UserKind.TTT, n_queries=2)
+        generate_initial_queries(llm_user(UserKind.TTT, toy_topic, backend), 2)
         prompt = backend.prompts()[0]
         assert toy_topic.title in prompt
         assert toy_topic.description not in prompt
@@ -100,38 +101,39 @@ class TestInitialQueries:
 
     def test_fttc_prompt_contains_all_fields_verbatim(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("1. q1\n2. q2"))
-        generate_initial_queries(backend, toy_topic, UserKind.FTTC, n_queries=2)
+        generate_initial_queries(llm_user(UserKind.FTTC, toy_topic, backend), 2)
         prompt = backend.prompts()[0]
         for fieldtext in (toy_topic.title, toy_topic.description, toy_topic.narrative):
             assert fieldtext in prompt
 
     def test_truncates_to_requested_count(self, toy_topic):
         backend = ConstantBackend("\n".join(f"{i}. query {i}" for i in range(1, 13)))
-        queries = generate_initial_queries(backend, toy_topic, UserKind.FTTC, n_queries=5)
+        queries = generate_initial_queries(llm_user(UserKind.FTTC, toy_topic, backend), 5)
         assert len(queries) == 5
 
     def test_unparseable_retries_once_then_raises(self, toy_topic):
         backend = CapturingBackend(ConstantBackend(""))
         with pytest.raises(QueryGenerationError):
-            generate_initial_queries(backend, toy_topic, UserKind.FTTC, n_queries=3)
+            generate_initial_queries(llm_user(UserKind.FTTC, toy_topic, backend), 3)
         assert len(backend.requests) == 2
         assert "exactly 3" in backend.requests[1].prompt_text()
 
     def test_short_list_accepted_after_retry_with_anomaly(self, toy_topic):
         backend = SequenceBackend(["1. only one", "1. only one"])
         anomalies = []
-        queries = generate_initial_queries(backend, toy_topic, UserKind.FTTC,
-                                           n_queries=4, on_anomaly=anomalies.append)
+        user = llm_user(UserKind.FTTC, toy_topic, backend, on_anomaly=anomalies.append)
+        queries = generate_initial_queries(user, 4)
         assert queries == ["only one"]
         assert len(anomalies) == 1
 
     def test_random_kinds_rejected(self, toy_topic):
-        with pytest.raises(ValueError):
-            generate_initial_queries(ConstantBackend("1. x"), toy_topic, UserKind.RND)
+        for kind in RANDOM_KINDS:
+            with pytest.raises(ValueError, match="randomly"):
+                llm_user(kind, toy_topic, ConstantBackend("1. x"))
 
     def test_request_uses_query_generation_params(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("1. a\n2. b"))
-        generate_initial_queries(backend, toy_topic, UserKind.FTTC, n_queries=2)
+        generate_initial_queries(llm_user(UserKind.FTTC, toy_topic, backend), 2)
         request = backend.requests[0]
         assert request.temperature == 1.0
         assert request.seed == 0
@@ -141,16 +143,16 @@ class TestInitialQueries:
 class TestNaiveQueries:
     def test_three_term_vocabulary_forced(self):
         topic = Topic(topic_id="1", title="alpha beta gamma")
-        query = generate_query_naive(topic, random.Random(0))
+        query = generate_query_naive(topic, random.Random(0), on_anomaly=pytest.fail)
         assert sorted(query.split()) == ["alpha", "beta", "gamma"]
 
     def test_fixed_seed_reproducible(self, toy_topic):
-        q1 = generate_query_naive(toy_topic, random.Random(42))
-        q2 = generate_query_naive(toy_topic, random.Random(42))
+        q1 = generate_query_naive(toy_topic, random.Random(42), on_anomaly=pytest.fail)
+        q2 = generate_query_naive(toy_topic, random.Random(42), on_anomaly=pytest.fail)
         assert q1 == q2
 
     def test_terms_are_distinct_and_from_topic(self, toy_topic):
-        query = generate_query_naive(toy_topic, random.Random(3)).split()
+        query = generate_query_naive(toy_topic, random.Random(3), on_anomaly=pytest.fail).split()
         assert len(set(query)) == 3
         vocabulary = set(toy_topic.all_text().lower().replace("?", " ").split())
         for term in query:
@@ -170,7 +172,7 @@ class TestNaiveQueries:
         counts = {}
         draws = 10_000
         for _ in range(draws):
-            for term in generate_query_naive(topic, rng).split():
+            for term in generate_query_naive(topic, rng, on_anomaly=pytest.fail).split():
                 counts[term] = counts.get(term, 0) + 1
         assert len(counts) == 10
         for term, count in counts.items():
@@ -196,46 +198,52 @@ class TestRandomDecision:
 
 class TestJudgePrompts:
     def test_scripted_relevant_parses_true(self, toy_topic):
-        verdict = decide_relevance_llm(ConstantBackend("RELEVANT"), toy_topic,
-                                       UserKind.FTTC, None, "some document")
+        verdict = decide_relevance_llm(
+            llm_user(UserKind.FTTC, toy_topic, ConstantBackend("RELEVANT")), "some document")
         assert verdict is True
 
     def test_prf_empty_state_prompt_identical_to_fttc(self, toy_topic):
-        fttc = build_judge_prompt(toy_topic, UserKind.FTTC, None, "doc text")
-        prf = build_judge_prompt(toy_topic, UserKind.PRF, KnowledgeState(), "doc text")
+        fttc = build_judge_prompt(llm_user(UserKind.FTTC, toy_topic), "doc text")
+        prf = build_judge_prompt(llm_user(UserKind.PRF, toy_topic), "doc text")
         assert [m.content for m in fttc] == [m.content for m in prf]
 
     def test_crf_with_both_sides_has_both_sections(self, toy_topic):
         state = KnowledgeState()
-        state.record("r1", "relevant doc text", True)
+        state.record("r1", True, "relevant doc text")
         state.relevant_summary = "summary of the good ones"
-        state.record("i1", "irrelevant doc text", False)
+        state.record("i1", False, "irrelevant doc text")
         state.irrelevant_summary = "summary of the bad ones"
-        prompt = "\n".join(m.content for m in
-                           build_judge_prompt(toy_topic, UserKind.CRF, state, "doc"))
+        user = llm_user(UserKind.CRF, toy_topic, state=state)
+        prompt = "\n".join(m.content for m in build_judge_prompt(user, "doc"))
         assert "summary of the good ones" in prompt
         assert "summary of the bad ones" in prompt
 
     def test_unreadable_reply_retries_then_defaults_false(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("hmm, unclear"))
         anomalies = []
-        verdict = decide_relevance_llm(backend, toy_topic, UserKind.FTTC, None, "doc",
-                                       on_anomaly=anomalies.append)
+        user = llm_user(UserKind.FTTC, toy_topic, backend, on_anomaly=anomalies.append)
+        verdict = decide_relevance_llm(user, "doc")
         assert verdict is False
         assert len(backend.requests) == 2
         assert anomalies
 
     def test_judgment_request_params(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("yes"))
-        decide_relevance_llm(backend, toy_topic, UserKind.FTTC, None, "doc")
+        decide_relevance_llm(llm_user(UserKind.FTTC, toy_topic, backend), "doc")
         request = backend.requests[0]
         assert request.temperature == 0.0
         assert request.tag == TAG_RELEVANCE_JUDGMENT
 
     def test_random_kinds_rejected(self, toy_topic):
-        with pytest.raises(ValueError):
-            decide_relevance_llm(ConstantBackend("yes"), toy_topic, UserKind.RND,
-                                 None, "doc")
+        for kind in RANDOM_KINDS:
+            with pytest.raises(ValueError, match="randomly"):
+                LLMUser(kind, toy_topic, ConstantBackend("yes"), PromptTemplates.default(),
+                        pytest.fail)
+
+    def test_a_user_without_a_backend_is_refused(self, toy_topic):
+        for kind in LLM_KINDS:
+            with pytest.raises(ValueError, match="requires a chat backend"):
+                LLMUser(kind, toy_topic, None, PromptTemplates.default(), pytest.fail)
 
 
 def seen(state, relevant):
@@ -244,13 +252,13 @@ def seen(state, relevant):
 
 
 class TestKnowledgeState:
-    def doc(self, doc_id, body):
-        return Document(doc_id=doc_id, body=body)
+    def user(self, backend, **kwargs):
+        return llm_user(UserKind.CRF, Topic(topic_id="1", title="t"), backend, **kwargs)
 
     def test_first_relevant_doc_creates_relevant_summary_only(self):
-        state = KnowledgeState()
-        update_knowledge_state(ConstantBackend("a tidy summary"), state,
-                               self.doc("d1", "body one"), True)
+        user = self.user(ConstantBackend("a tidy summary"))
+        update_knowledge_state(user, "d1", "body one", True, 200)
+        state = user.state
         assert state.relevant_summary == "a tidy summary"
         assert state.irrelevant_summary is None
         assert seen(state, True) == ["d1"]
@@ -258,79 +266,85 @@ class TestKnowledgeState:
         assert state.judged == {"d1": True}
 
     def test_double_judgment_rejected(self):
-        state = KnowledgeState()
-        backend = ConstantBackend("s")
-        update_knowledge_state(backend, state, self.doc("d1", "b"), True)
+        user = self.user(ConstantBackend("s"))
+        update_knowledge_state(user, "d1", "b", True, 200)
         with pytest.raises(ValueError):
-            update_knowledge_state(backend, state, self.doc("d1", "b"), False)
+            update_knowledge_state(user, "d1", "b", False, 200)
 
     def test_summarization_prompt_contains_all_same_side_texts(self):
-        state = KnowledgeState()
         backend = CapturingBackend(ConstantBackend("s"))
+        user = self.user(backend)
         bodies = [f"unique body text number {i}" for i in range(3)]
         for i, body in enumerate(bodies):
-            update_knowledge_state(backend, state, self.doc(f"d{i}", body), True)
+            update_knowledge_state(user, f"d{i}", body, True, 200)
         final_prompt = backend.prompts(TAG_SUMMARIZATION)[-1]
         for body in bodies:
             assert body in final_prompt
 
     def test_sides_are_independent(self):
-        state = KnowledgeState()
         backend = CapturingBackend(SequenceBackend(["rel summary", "irr summary"]))
-        update_knowledge_state(backend, state, self.doc("r", "good text"), True)
-        update_knowledge_state(backend, state, self.doc("i", "bad text"), False)
-        assert state.relevant_summary == "rel summary"
-        assert state.irrelevant_summary == "irr summary"
+        user = self.user(backend)
+        update_knowledge_state(user, "r", "good text", True, 200)
+        update_knowledge_state(user, "i", "bad text", False, 200)
+        assert user.state.relevant_summary == "rel summary"
+        assert user.state.irrelevant_summary == "irr summary"
         irr_prompt = backend.prompts(TAG_SUMMARIZATION)[-1]
         assert "bad text" in irr_prompt
         assert "good text" not in irr_prompt
 
     def test_backend_failure_keeps_previous_summary_and_judgment(self):
-        state = KnowledgeState()
-        update_knowledge_state(ConstantBackend("first summary"), state,
-                               self.doc("d1", "b1"), True)
         anomalies = []
-        update_knowledge_state(FailingBackend(), state, self.doc("d2", "b2"), True,
-                               on_anomaly=anomalies.append)
-        assert state.relevant_summary == "first summary"
-        assert seen(state, True) == ["d1", "d2"]
+        user = self.user(ConstantBackend("first summary"), on_anomaly=anomalies.append)
+        update_knowledge_state(user, "d1", "b1", True, 200)
+        user.backend = FailingBackend()
+        update_knowledge_state(user, "d2", "b2", True, 200)
+        assert user.state.relevant_summary == "first summary"
+        assert seen(user.state, True) == ["d1", "d2"]
         assert anomalies
 
     def test_seen_lists_disjoint_and_order_preserving_fuzzed(self):
         rng = random.Random(77)
         for _ in range(30):
-            state = KnowledgeState()
-            backend = ConstantBackend("s")
+            user = self.user(ConstantBackend("s"))
+            state = user.state
             expected_rel, expected_irr = [], []
             for i in range(rng.randrange(0, 12)):
                 relevant = rng.random() < 0.5
                 doc_id = f"d{i}"
                 (expected_rel if relevant else expected_irr).append(doc_id)
-                update_knowledge_state(backend, state, self.doc(doc_id, f"b{i}"), relevant)
+                update_knowledge_state(user, doc_id, f"b{i}", relevant, 200)
             assert seen(state, True) == expected_rel
             assert seen(state, False) == expected_irr
             assert not set(seen(state, True)) & set(seen(state, False))
             assert set(state.judged) == set(expected_rel) | set(expected_irr)
 
+    def test_a_judgment_recorded_without_text_keeps_none(self):
+        state = KnowledgeState()
+        state.record("r1", True, "kept text")
+        state.record("i1", False)
+        state.record("r2", True, "second text")
+        assert state.judged == {"r1": True, "i1": False, "r2": True}
+        assert state.texts_for(True) == ["kept text", "second text"]
+        assert state.texts_for(False) == []
+
 
 class TestFollowupQueries:
-    def make_state(self):
+    def make_user(self, kind, topic, backend, **kwargs):
         state = KnowledgeState()
-        state.record("d1", "text one", True)
+        state.record("d1", True, "text one")
         state.relevant_summary = "the relevant summary text"
-        state.record("d2", "text two", False)
+        state.record("d2", False, "text two")
         state.irrelevant_summary = "the irrelevant summary text"
-        return state
+        return llm_user(kind, topic, backend, state=state, **kwargs)
 
     def test_distinct_reply_returned_verbatim(self, toy_topic):
-        query = generate_followup_query(ConstantBackend("fresh new angle"), toy_topic,
-                                        UserKind.CRF, self.make_state(), ["old query"])
+        user = self.make_user(UserKind.CRF, toy_topic, ConstantBackend("fresh new angle"))
+        query = generate_followup_query(user, ["old query"])
         assert query == "fresh new angle"
 
     def test_crf_prime_prompt_title_and_summaries_only(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("next query"))
-        generate_followup_query(backend, toy_topic, UserKind.CRF_PRIME,
-                                self.make_state(), ["q1"])
+        generate_followup_query(self.make_user(UserKind.CRF_PRIME, toy_topic, backend), ["q1"])
         prompt = backend.prompts()[0]
         assert toy_topic.title in prompt
         assert toy_topic.description not in prompt
@@ -340,16 +354,15 @@ class TestFollowupQueries:
 
     def test_nrf_prompt_has_irrelevant_summary_only(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("next query"))
-        generate_followup_query(backend, toy_topic, UserKind.NRF,
-                                self.make_state(), ["q1"])
+        generate_followup_query(self.make_user(UserKind.NRF, toy_topic, backend), ["q1"])
         prompt = backend.prompts()[0]
         assert "the irrelevant summary text" in prompt
         assert "the relevant summary text" not in prompt
 
     def test_past_queries_listed_in_prompt(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("brand new"))
-        generate_followup_query(backend, toy_topic, UserKind.PRF,
-                                self.make_state(), ["first query", "second query"])
+        generate_followup_query(self.make_user(UserKind.PRF, toy_topic, backend),
+                                ["first query", "second query"])
         prompt = backend.prompts()[0]
         assert "first query" in prompt
         assert "second query" in prompt
@@ -357,25 +370,22 @@ class TestFollowupQueries:
     def test_duplicate_retried_then_accepted_with_anomaly(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("old query"))
         anomalies = []
-        query = generate_followup_query(backend, toy_topic, UserKind.CRF,
-                                        self.make_state(), ["old query"],
-                                        on_anomaly=anomalies.append)
+        user = self.make_user(UserKind.CRF, toy_topic, backend, on_anomaly=anomalies.append)
+        query = generate_followup_query(user, ["old query"])
         assert query == "old query"
         assert len(backend.requests) == 2
         assert anomalies
 
     def test_requires_a_judgment_and_feedback_kind(self, toy_topic):
         with pytest.raises(ValueError):
-            generate_followup_query(ConstantBackend("x"), toy_topic, UserKind.CRF,
-                                    KnowledgeState(), [])
+            generate_followup_query(llm_user(UserKind.CRF, toy_topic, ConstantBackend("x")), [])
         with pytest.raises(ValueError):
-            generate_followup_query(ConstantBackend("x"), toy_topic, UserKind.FTTC,
-                                    self.make_state(), [])
+            generate_followup_query(self.make_user(UserKind.FTTC, toy_topic,
+                                                   ConstantBackend("x")), [])
 
     def test_followup_temperature_is_one(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("something else"))
-        generate_followup_query(backend, toy_topic, UserKind.CRF,
-                                self.make_state(), ["q"])
+        generate_followup_query(self.make_user(UserKind.CRF, toy_topic, backend), ["q"])
         assert backend.requests[0].temperature == 1.0
 
 
@@ -413,8 +423,8 @@ class TestTemplates:
         mapping = dict(PromptTemplates.default().mapping)
         mapping["initial_queries"] = ("{title}{description}{narrative}{relevant_summary}"
                                       "{irrelevant_summary}{n_queries}")
-        messages = build_initial_queries_prompt(toy_topic, UserKind.CRF, 2,
-                                                templates=PromptTemplates(mapping))
+        user = llm_user(UserKind.CRF, toy_topic, templates=PromptTemplates(mapping))
+        messages = build_initial_queries_prompt(user, 2)
         # no judgment precedes the initial prompt, so its summary fields are empty
         assert messages[-1].content == (f"Title: {toy_topic.title}\n"
                                         f"Description: {toy_topic.description}\n"
@@ -433,14 +443,14 @@ class TestTemplates:
         mapping["judge"] = "CUSTOM MARKER\n{title}{description}{narrative}" \
                            "{relevant_summary}{irrelevant_summary}\n{document}"
         templates = PromptTemplates(mapping)
-        messages = build_judge_prompt(toy_topic, UserKind.TTT, None, "doc",
-                                      templates=templates)
+        messages = build_judge_prompt(llm_user(UserKind.TTT, toy_topic, templates=templates),
+                                      "doc")
         assert "CUSTOM MARKER" in messages[-1].content
 
     def test_persona_in_system_message(self, toy_topic):
         persona = Persona(role_name="archivist", instruction_preamble="You file things.")
-        messages = build_initial_queries_prompt(toy_topic, UserKind.FTTC, 3,
-                                                templates=PromptTemplates.default(persona))
+        user = llm_user(UserKind.FTTC, toy_topic, templates=PromptTemplates.default(persona))
+        messages = build_initial_queries_prompt(user, 3)
         assert messages[0].role == "system"
         assert "archivist" in messages[0].content
         assert "You file things." in messages[0].content
@@ -464,8 +474,8 @@ class TestKindTables:
 
     def test_scripted_end_to_end_determinism(self, toy_topic):
         backend = ScriptedBackend()
-        a = generate_initial_queries(backend, toy_topic, UserKind.CRF, n_queries=5)
-        b = generate_initial_queries(ScriptedBackend(), toy_topic, UserKind.CRF, n_queries=5)
+        a = generate_initial_queries(llm_user(UserKind.CRF, toy_topic, backend), 5)
+        b = generate_initial_queries(llm_user(UserKind.CRF, toy_topic, ScriptedBackend()), 5)
         assert a == b
 
 
@@ -485,8 +495,8 @@ class TestPromptMatrixPin:
         for rel, irr in ((None, None), ("rel summary", None), (None, "irr summary"),
                          ("rel summary", "irr summary")):
             state = KnowledgeState()
-            state.record("d1", "text one", True)
-            state.record("d2", "text two", False)
+            state.record("d1", True, "text one")
+            state.record("d2", False, "text two")
             state.relevant_summary, state.irrelevant_summary = rel, irr
             states.append(state)
         return states
@@ -497,15 +507,17 @@ class TestPromptMatrixPin:
         prompts = []
         for topic in (toy_topic, bare):
             for kind in llm_kinds:
-                prompts.append(build_initial_queries_prompt(topic, kind, 4))
-                prompts.append(build_judge_prompt(topic, kind, None, "the document"))
-                prompts.append(build_followup_prompt(topic, kind, KnowledgeState(), ["q1"]))
+                fresh = llm_user(kind, topic)
+                prompts.append(build_initial_queries_prompt(fresh, 4))
+                prompts.append(build_judge_prompt(fresh, "the document"))
+                prompts.append(build_followup_prompt(fresh, ["q1"]))
                 for state in self.states():
-                    prompts.append(build_judge_prompt(topic, kind, state, "the document"))
-                    prompts.append(build_followup_prompt(topic, kind, state,
-                                                         ["q1", "q2"]))
+                    user = llm_user(kind, topic, state=state)
+                    prompts.append(build_judge_prompt(user, "the document"))
+                    prompts.append(build_followup_prompt(user, ["q1", "q2"]))
         for relevant in (True, False):
-            prompts.append(build_summarize_prompt(["one", "two"], relevant, max_words=50))
+            prompts.append(build_summarize_prompt(PromptTemplates.default(), ["one", "two"],
+                                                  relevant, max_words=50))
         payload = json.dumps([[[m.role, m.content] for m in p] for p in prompts])
         assert len(prompts) == 2 * 6 * 11 + 2
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.DIGEST

@@ -178,7 +178,8 @@ class TestCmdSimulate:
         assert not (tmp_path / "out" / "logs").exists()
 
     def test_text_that_is_not_utf8_fails_naming_the_index(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, users=("RND",))
+        # an LLM user: RND and RND_STAR read no document text
+        config_path = write_config(tmp_path, users=("TTT",))
         assert main(["index", "--config", str(config_path)]) == 0
         index_path = tmp_path / "out" / "index.json"
         data = index_path.read_bytes()

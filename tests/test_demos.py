@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion against the package."""
+"""Smoke test: every script in demos/ and README's library quickstart run to
+completion against the package."""
 from __future__ import annotations
 
 import os
@@ -12,16 +13,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
+def run_python(*args: str) -> None:
+    """Run ``python *args`` from the repo root with ``src`` importable; it must
+    exit 0 and print something."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
 def test_all_demos_found():
     assert [d.name[:2] for d in DEMOS] == ["01", "02", "03"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    run_python(str(demo))
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    run_python("-c", section.split("```python\n", 1)[1].split("\n```", 1)[0])

@@ -5,9 +5,12 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import tracemalloc
 import weakref
@@ -626,6 +629,29 @@ class TestSerialization:
         assert list(first.documents) == toy_docs
         assert [r[1] for r in search(first, "oranges").results] == ["d2"]
         assert list(load_index(path).documents) == other
+
+    def test_a_file_cut_short_in_place_is_refused_not_a_crash(self, tmp_path):
+        # in a child process, so that a SIGBUS fails this test instead of ending pytest
+        script = textwrap.dedent("""
+            import sys
+            from searchsim.corpus import Document
+            from searchsim.index import IndexFormatError, build_index, load_index, save_index
+            path = sys.argv[1]
+            save_index(build_index([Document(doc_id=f"d{i}", body=f"body {i} " * 50)
+                                    for i in range(20)]), path)
+            index = load_index(path)
+            assert index.document("d19").body.startswith("body 19")
+            open(path, "wb").close()
+            try:
+                index.document("d19")
+            except IndexFormatError as exc:
+                print(exc)
+        """)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "index.json")],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "changed since it was loaded" in done.stdout
 
     def test_failed_save_leaves_the_old_file_and_nothing_else(self, toy_docs, tmp_path):
         path = tmp_path / "index.json"

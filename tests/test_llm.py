@@ -231,20 +231,20 @@ class TestHttpBackend:
 
     def test_max_tokens_forwarded_when_set(self, mock_server):
         url, handler = mock_server
-        backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0))
-        backend.complete(ChatRequest((ChatMessage("user", "x"),), max_tokens=32))
+        for cap in (32, None):
+            backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0,
+                                                max_tokens=cap))
+            backend.complete(ChatRequest((ChatMessage("user", "x"),)))
         assert handler.requests_seen[0]["max_tokens"] == 32
-        backend.complete(ChatRequest((ChatMessage("user", "x"),)))
         assert "max_tokens" not in handler.requests_seen[1]
 
     def test_config_level_max_tokens_default(self, mock_server):
         url, handler = mock_server
         backend = HttpBackend(BackendConfig(endpoint=url, model="m", retries=0,
                                             max_tokens=64))
-        backend.complete(ChatRequest((ChatMessage("user", "x"),)))
-        assert handler.requests_seen[0]["max_tokens"] == 64
-        backend.complete(ChatRequest((ChatMessage("user", "x"),), max_tokens=8))
-        assert handler.requests_seen[1]["max_tokens"] == 8
+        for tag in (TAG_QUERY_GENERATION, TAG_RELEVANCE_JUDGMENT):
+            backend.complete(ChatRequest((ChatMessage("user", "x"),), tag=tag))
+        assert [r["max_tokens"] for r in handler.requests_seen] == [64, 64]
 
     def test_retry_then_success_is_single_completion(self, mock_server):
         url, handler = mock_server

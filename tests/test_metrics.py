@@ -85,7 +85,6 @@ class TestInformationGain:
             (JUDGMENT_MADE, 1.0, {"doc_id": "a", "relevant": True, "grade": 3}),
         ])
         assert information_gain_curve(log).final_effect == 3.0
-        assert information_gain_curve(log, binarize=True).final_effect == 1.0
 
     def test_permuting_judgments_keeps_final_effect(self):
         rng = random.Random(11)

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import searchsim.index
 import searchsim.session
-from searchsim.agents import LLM_KINDS, UserKind
+from searchsim.agents import LLM_KINDS, SUMMARY_SIDES, KnowledgeState, UserKind
 from searchsim.config import CampaignConfig
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.fixtures import CAMPAIGN, fixture_path
-from searchsim.index import build_index
+from searchsim.index import InvertedIndex, build_index
 from searchsim.llm import BackendError, ScriptedBackend
 from searchsim.session import (
     ANOMALY,
@@ -44,8 +44,7 @@ from searchsim.session import (
     write_campaign_manifest,
     write_session_log,
 )
-from searchsim.testing import CapturingBackend
-
+from backends import CapturingBackend
 from oracles import make_log
 
 # Reply-table keys anchored on fixed phrases of the default templates.
@@ -241,19 +240,25 @@ class TestRunSessionTraces:
         policy = replace(config.policy, snippet_max_chars=100)
         docs, topics, qrels = fixture_collection
         index = build_index(docs, **config.index_options())
-        calls = []
-        real = searchsim.index.make_snippet
+        calls, reads = [], []
+        real, real_document = searchsim.index.make_snippet, InvertedIndex.document
 
         def counting(document, query, max_chars=160):
             calls.append((document.doc_id, query, max_chars))
             return real(document, query, max_chars)
 
+        def counting_document(self, doc_id):
+            reads.append(doc_id)
+            return real_document(self, doc_id)
+
         monkeypatch.setattr(searchsim.index, "make_snippet", counting)
+        monkeypatch.setattr(InvertedIndex, "document", counting_document)
         llm_rows = 0
         for topic in topics:
             fttc_queries = None
             for kind in validate_campaign_kinds(config.users):
                 calls.clear()
+                reads.clear()
                 seed = derive_session_seed(config.campaign_seed, topic.topic_id, kind)
                 log = run_session(topic, kind, index, qrels, policy=policy,
                                   cost_model=config.cost_model, backend=config.make_backend(),
@@ -268,8 +273,11 @@ class TestRunSessionTraces:
                     elif it.kind == SNIPPET_VIEWED:
                         viewed.append((it.payload["doc_id"], query, 100))
                 assert viewed, (topic.topic_id, kind)
-                # a random user decides by a draw and reads no snippet
+                # a random user decides by a draw and reads no snippet and no
+                # document; an LLM user reads each viewed row's document once
                 assert calls == (viewed if kind in LLM_KINDS else []), (topic.topic_id, kind)
+                assert reads == ([doc_id for doc_id, _, _ in viewed] if kind in LLM_KINDS
+                                 else []), (topic.topic_id, kind)
                 llm_rows += len(viewed) if kind in LLM_KINDS else 0
         assert llm_rows > 0
 
@@ -324,6 +332,47 @@ class TestSummaryRequests:
                 if it.kind == JUDGMENT_MADE] == [False]
         assert requested == set()
         assert log.queries_issued == ["twin", "reformulated follow up"]
+
+
+    def test_only_summarized_sides_keep_texts(self, fixture_collection, monkeypatch):
+        """Summary prompts hold every same-side text in judgment order, and the
+        knowledge state keeps the texts of no other side."""
+        docs, topics, qrels = fixture_collection
+        index = build_index(docs)
+        states = {}
+        real = KnowledgeState.record
+
+        def spying(state, *args):
+            states[id(state)] = state
+            return real(state, *args)
+
+        monkeypatch.setattr(KnowledgeState, "record", spying)
+        summarized = set()
+        for kind in sorted(LLM_KINDS):
+            states.clear()
+            backend = CapturingBackend(ScriptedBackend())
+            log = run_session(topics[0], kind, index, qrels, backend=backend,
+                              policy=SessionPolicy(max_queries=3, page_size=5,
+                                                   queries_per_session=3))
+            judged = [(it.payload["doc_id"], it.payload["relevant"])
+                      for it in log.interactions if it.kind == JUDGMENT_MADE]
+            (state,) = states.values()
+            prompts = iter(backend.prompts("summarization"))
+            for n, (_, relevant) in enumerate(judged):
+                if not SUMMARY_SIDES[kind][0 if relevant else 1]:
+                    continue
+                texts = [index.document(d).full_text() for d, r in judged[:n + 1]
+                         if r == relevant]
+                block = "\n\n".join(f"Article {i}:\n{t}" for i, t in enumerate(texts, 1))
+                prompt = next(prompts)
+                assert block in prompt and f"Article {len(texts) + 1}:" not in prompt
+                summarized.add(relevant)
+            assert next(prompts, None) is None
+            for relevant, wanted in zip((True, False), SUMMARY_SIDES[kind]):
+                texts = [index.document(d).full_text() for d, r in judged if r == relevant]
+                assert state.texts_for(relevant) == (texts if wanted else []), (kind, relevant)
+            assert state.judged == dict(judged)
+        assert summarized == {True, False}
 
 
 class TestSessionProperties:

@@ -10,7 +10,7 @@ from searchsim.llm import (
     ChatRequest,
     ScriptedBackend,
 )
-from searchsim.testing import CapturingBackend, QrelsOracleBackend
+from backends import CapturingBackend, QrelsOracleBackend, llm_user
 
 
 class TestCapturingBackend:
@@ -31,7 +31,7 @@ class TestQrelsOracleBackend:
         return QrelsOracleBackend(docs, topics, qrels), docs, topics, qrels
 
     def judge_request(self, topic, text):
-        messages = build_judge_prompt(topic, UserKind.FTTC, None, text)
+        messages = build_judge_prompt(llm_user(UserKind.FTTC, topic), text)
         return ChatRequest(messages, tag=TAG_RELEVANCE_JUDGMENT)
 
     def test_judges_full_text_from_qrels(self, fixture_collection):
