@@ -141,8 +141,9 @@ def _read_manifest(manifest_path: Path) -> dict:
 def _collect_logs(logs_dir: Path, force: bool):
     manifest_path = logs_dir / "manifest.json"
     manifest = _read_manifest(manifest_path) if manifest_path.is_file() else None
-    listed = {} if manifest is None or force else {
-        s["file"]: s["interactions"] for s in manifest.get("sessions", [])}
+    checked = manifest is not None and not force
+    listed = {s["file"]: s["interactions"]
+              for s in manifest.get("sessions", [])} if checked else {}
     paths = sorted(logs_dir.glob("*.jsonl"))
     present = {p.name for p in paths}
     missing = [name for name in listed if name not in present]
@@ -150,7 +151,20 @@ def _collect_logs(logs_dir: Path, force: bool):
         raise ConfigError(f"{len(missing)} session log(s) listed in {manifest_path} are "
                           f"missing: {', '.join(missing)}; rerun with --force to evaluate "
                           "the logs that are present")
+    unlisted = [p.name for p in paths if p.name not in listed] if checked else []
+    if unlisted:
+        raise ConfigError(f"{len(unlisted)} session log(s) in {logs_dir} are not listed in "
+                          f"{manifest_path}: {', '.join(unlisted)}; rerun with --force to "
+                          "evaluate every log that is present")
     logs = [read_session_log(p) for p in paths]
+    owners: dict[str, str] = {}
+    for p, log in zip(paths, logs):
+        stem = session_log_filename(log).removesuffix(".jsonl")
+        owner = owners.setdefault(stem, p.name)
+        if owner != p.name:
+            raise ConfigError(f"session logs {owner} and {p.name} would write the same raw "
+                              f"curve files ({stem}.ig.csv, {stem}.sdcg.csv); evaluate "
+                              "them in separate directories")
     miscounted = [f"{p.name} has {len(log.interactions)}, not {listed[p.name]}"
                   for p, log in zip(paths, logs)
                   if p.name in listed and len(log.interactions) != listed[p.name]]

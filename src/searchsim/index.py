@@ -11,6 +11,7 @@ import operator
 import os
 import re
 import sys
+import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -394,10 +395,17 @@ class _StoredDocuments(Sequence[Document]):
     block when it is read, and nothing decoded is kept."""
 
     def __init__(self, doc_ids: list[str], sources: list[str], untitled: frozenset[int],
-                 text: memoryview, offsets: array.array, data: bytes | mmap.mmap):
+                 text: memoryview, offsets: array.array):
         self._doc_ids, self._sources, self._untitled = doc_ids, sources, untitled
         self._text, self._offsets = text, offsets
-        self._mapping = data if isinstance(data, mmap.mmap) else None
+        self._file: tuple[int, int, int] | None = None
+
+    def watch(self, fd: int, loaded: os.stat_result) -> None:
+        """Refuse to read a document once the file open at ``fd``, which the
+        text maps, differs in size or modification time from ``loaded``.
+        ``fd`` is closed with these documents."""
+        self._file = fd, loaded.st_size, loaded.st_mtime_ns
+        weakref.finalize(self, os.close, fd)
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -406,10 +414,16 @@ class _StoredDocuments(Sequence[Document]):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        # reading a mapped page past the end of a file cut short in place is SIGBUS
-        if self._mapping is not None and self._mapping.size() < len(self._mapping):
-            raise IndexFormatError(f"the index file changed since it was loaded: it holds "
-                                   f"{self._mapping.size()} of {len(self._mapping)} bytes")
+        # reading a mapped page past the end of a file cut short in place is
+        # SIGBUS, and a file written over in place holds another index's text
+        if self._file is not None:
+            fd, size, mtime_ns = self._file
+            now = os.fstat(fd)
+            if now.st_size != size or now.st_mtime_ns != mtime_ns:
+                raise IndexFormatError(
+                    f"the index file changed since it was loaded: it held {size} bytes "
+                    f"and now holds {now.st_size}, and its modification time moved by "
+                    f"{(now.st_mtime_ns - mtime_ns) / 1e9:g} s; load it again")
         title_start, body_start, end = self._offsets[2 * i:2 * i + 3]
         text = self._text
         try:
@@ -499,7 +513,7 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
         index = InvertedIndex(
             postings=postings,
             doc_lengths=values[:n_docs].tolist(),
-            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets, data),
+            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets),
             stopwords=frozenset(stopwords) if stopwords else None,
             stem=bool(header["stem"]),
             k1=float(header["k1"]),
@@ -532,9 +546,12 @@ def load_index(path: str | Path) -> InvertedIndex:
     # The file stays mapped read-only for the index's documents; only the
     # pages of the documents read are brought into memory. save_index
     # replaces a file rather than writing into it, so the mapping never
-    # changes under a loaded index.
+    # changes under a loaded index. A file written over in place is
+    # refused when a document is next read.
     with open(path, "rb") as f:
-        if not os.fstat(f.fileno()).st_size:
+        loaded = os.fstat(f.fileno())
+        if not loaded.st_size:
             return index_from_bytes(b"")
-        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return index_from_bytes(data)
+        index = index_from_bytes(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
+        index.documents.watch(os.dup(f.fileno()), loaded)
+    return index

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import gt, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -150,39 +151,57 @@ def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
 
     Each curve's x values must be non-decreasing, as the IG and sDCG curves'
     are. Without an explicit grid, the sorted union of all curves' x values
-    is used. Returns (x, mean_y, n) rows.
+    is used. Returns (x, mean_y, n) rows, in the grid's order.
     """
     if not curves:
         raise ValueError("at least one curve is required")
-    columns = [([x for x, _ in points], [y for _, y in points])
-               for points in map(_as_points, curves)]
-    for xs, _ in columns:
-        if any(a > b for a, b in zip(xs, xs[1:])):
+    # one sweep: every point is an (x, curve, y) event, and a stable sort by x
+    # keeps a curve's points at one x in order, so its last one wins
+    events: list[tuple[float, int, float]] = []
+    for c, curve in enumerate(curves):
+        points = _as_points(curve)
+        if not points:
+            continue
+        xs, ys = zip(*points)
+        if any(map(gt, xs, xs[1:])):
             raise ValueError("curve x values must be non-decreasing")
+        events += zip(xs, repeat(c), ys)
+    events.sort(key=itemgetter(0))
     if x_grid is None:
-        grid = sorted({x for xs, _ in columns for x in xs})
+        grid = sorted(set(map(itemgetter(0), events)))
+        order = range(len(grid))
     else:
         grid = list(x_grid)
-    n = len(columns)
-    rows = []
-    for x in grid:
-        # one value per curve, summed in curve order like a linear scan's
-        values = [ys[i - 1] if (i := bisect_right(xs, x)) else 0.0 for xs, ys in columns]
-        rows.append((x, sum(values) / n, n))
+        order = sorted(range(len(grid)), key=grid.__getitem__)
+    n = len(curves)
+    values = [0.0] * n
+    rows: list = [None] * len(grid)
+    e, n_events = 0, len(events)
+    for g in order:
+        x = grid[g]
+        while e < n_events and events[e][0] <= x:
+            _, c, y = events[e]
+            values[c] = y
+            e += 1
+        # summed in curve order, as one value per curve at each grid point
+        rows[g] = (x, sum(values) / n, n)
     return rows
 
 
 # --- CSV output ------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_NUMBERS = frozenset({int, float})
 
 
 def write_csv(path: str | Path, rows: Iterable[Sequence], header: Sequence[str]) -> None:
+    """Write ``header`` and ``rows``; a float is written as its repr and an
+    int as its str, as ``csv`` writes them."""
+    rows = list(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if _NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
+            # numbers need no quoting, so the rows are joined in one go
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        else:
+            writer.writerows(rows)

@@ -439,6 +439,23 @@ def _header(record: dict) -> SessionLog:
     return log
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _record(line: str):
+    """``json.loads(line)``, with one scan for a line that holds one object
+    and nothing around it, as the writer writes them."""
+    if line[:1] == "{" and line[-1:] == "}":
+        try:
+            record, end = _raw_decode(line)
+        except ValueError:
+            pass  # json.loads raises the same error
+        else:
+            if end == len(line):
+                return record
+    return json.loads(line)
+
+
 def session_log_from_jsonl(data: bytes) -> SessionLog:
     """Parse a session log; a record that evaluation could not read is a
     ``LogFormatError`` naming its line."""
@@ -455,7 +472,7 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _record(line)
             expected = "session" if log is None else "interaction"
             if not isinstance(record, dict) or record.get("record") != expected:
                 raise ValueError(f"not a JSON object with record {expected!r}")

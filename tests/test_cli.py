@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -7,7 +8,7 @@ import pytest
 
 from searchsim.cli import main
 from searchsim.config import CampaignConfig
-from searchsim.fixtures import fixture_path
+from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.metrics import aggregate_curves, information_gain_curve
 from searchsim.agents import PromptTemplates, UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
@@ -378,7 +379,7 @@ class TestCmdEvaluate:
             assert int(n) == 1
             assert float(y) == max(py for px, py in raw_points if px <= float(x))
 
-    def test_mixed_config_hashes_refused_without_force(self, tmp_path):
+    def test_mixed_config_hashes_refused_without_force(self, tmp_path, capsys):
         config_a = write_config(tmp_path, users=("RND",), campaign_seed=0, out="out_a")
         run_pipeline(tmp_path, config_a)
         config_b = write_config(tmp_path, users=("RND",), campaign_seed=9, out="out_b")
@@ -386,9 +387,41 @@ class TestCmdEvaluate:
         mixed = tmp_path / "mixed"
         mixed.mkdir()
         shutil.copy(tmp_path / "out_a" / "logs" / "801__RND.jsonl", mixed / "a.jsonl")
-        shutil.copy(tmp_path / "out_b" / "logs" / "801__RND.jsonl", mixed / "b.jsonl")
+        shutil.copy(tmp_path / "out_b" / "logs" / "802__RND.jsonl", mixed / "b.jsonl")
+        capsys.readouterr()
         assert main(["evaluate", "--logs", str(mixed)]) == 1
+        assert "different campaign configs" in capsys.readouterr().err
         assert main(["evaluate", "--logs", str(mixed), "--force"]) == 0
+
+    def test_log_not_listed_in_manifest_is_refused_unless_forced(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        write_session_log(SessionLog(topic_id="extra", user_kind=UserKind.RND, seed=0), logs)
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)]) == 1
+        err = capsys.readouterr().err
+        assert "1 session log(s)" in err and "extra__RND.jsonl" in err and "--force" in err
+        assert not (tmp_path / "out" / "eval").exists()
+        assert main(["evaluate", "--logs", str(logs), "--force"]) == 0
+        rows = (tmp_path / "out" / "eval" / "campaign.ig.RND.csv").read_text().splitlines()
+        assert rows[-1].endswith(",4")  # the three listed sessions and the extra one
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_two_logs_of_one_session_are_refused(self, tmp_path, capsys, force):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        shutil.copy(logs / "801__RND.jsonl", logs / "zz_copy.jsonl")
+        if not force:  # a manifest that lists both
+            manifest = json.loads((logs / "manifest.json").read_text())
+            manifest["sessions"].append({**manifest["sessions"][0], "file": "zz_copy.jsonl"})
+            (logs / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs), *["--force"] * force]) == 1
+        err = capsys.readouterr().err
+        assert "801__RND.jsonl and zz_copy.jsonl" in err
+        assert not (tmp_path / "out" / "eval").exists()
 
     def test_log_listed_in_manifest_but_missing(self, tmp_path, capsys):
         config_path = write_config(tmp_path, users=("RND", "FTTC"))
@@ -548,6 +581,26 @@ class TestEndToEndDeterminism:
             }
 
         assert run_once("run1") == run_once("run2")
+
+
+class TestEvaluationOutputsPinned:
+    # the name, length and bytes of every file that evaluate writes for the
+    # bundled campaign (eight kinds, three topics, scripted replies)
+    EVAL_SHA256 = "5e605dc194f9548736ab2dc9754404fc8b0d7ef06050023bcb0e55793175008f"
+
+    def test_evaluation_outputs_are_pinned(self, tmp_path):
+        config, out = str(fixture_path(CAMPAIGN)), tmp_path / "out"
+        assert main(["index", "--config", config, "--out", str(out)]) == 0
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert main(["evaluate", "--logs", str(out / "logs")]) == 0
+        digest = hashlib.sha256()
+        files = sorted(p for p in (out / "eval").rglob("*") if p.is_file())
+        for path in files:
+            data = path.read_bytes()
+            name = path.relative_to(out / "eval").as_posix()
+            digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
+        assert len(files) == 2 * 24 + 2 * 8 + 2  # raw, mean curves, summary, manifest
+        assert digest.hexdigest() == self.EVAL_SHA256
 
 
 class TestConfigHash:

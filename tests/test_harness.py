@@ -1,7 +1,8 @@
 """The benchmark harness in ``benchmark/`` reaches into the library by module
 attribute: ``tracing`` replaces functions on the modules that call them, and
 ``checks`` pages through ``search``. These tests fail when a rename or a
-signature change would leave the harness measuring nothing."""
+signature change would leave the harness measuring nothing, or when its
+oracles disagree with the library on the bundled collection."""
 from __future__ import annotations
 
 import importlib
@@ -13,6 +14,8 @@ import pytest
 import searchsim.index
 from searchsim import config, session
 from searchsim.agents import UserKind
+from searchsim.cli import main
+from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import build_index
 from searchsim.llm import ScriptedBackend
 from searchsim.session import SNIPPET_VIEWED, SessionPolicy
@@ -69,3 +72,12 @@ def test_check_search_finds_no_problems(harness, fixture_collection):
     docs, topics, _ = fixture_collection
     queries = [t.title for t in topics] + ["offshore wind farm permits", "the city council"]
     assert checks.check_search(build_index(docs), searchsim.index.search, queries, 2, 5) == []
+
+
+def test_check_evaluation_finds_no_problems(harness, tmp_path):
+    checks, _ = harness
+    config_path, out = str(fixture_path(CAMPAIGN)), tmp_path / "out"
+    assert main(["index", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["evaluate", "--logs", str(out / "logs")]) == 0
+    assert checks.check_evaluation(out / "logs", out / "eval") == []

@@ -653,6 +653,31 @@ class TestSerialization:
         assert done.returncode == 0, done.stderr
         assert "changed since it was loaded" in done.stdout
 
+    @pytest.mark.parametrize("longer", [True, False], ids=["longer", "equal_length"])
+    def test_a_file_written_over_in_place_is_refused(self, tmp_path, longer):
+        path = tmp_path / "index.json"
+        def built(word, n):
+            return build_index([Document(doc_id=f"d{i}", body=f"{word} {i} " * 20)
+                                for i in range(n)])
+
+        save_index(built("alpha", 5), path)
+        index = load_index(path)
+        assert index.document("d3").body.startswith("alpha 3")
+        loaded = os.stat(path)
+        if longer:
+            other = index_to_bytes(built("omega", 9))
+            assert len(other) > loaded.st_size
+        else:  # the same bytes but one letter, at a later modification time
+            other = path.read_bytes().replace(b"alpha 3", b"alpha 4")
+        with open(path, "wb") as out:
+            out.write(other)
+        # a write in the same clock tick as the save leaves the time as it was
+        os.utime(path, ns=(loaded.st_atime_ns, loaded.st_mtime_ns + 10**9))
+        with pytest.raises(IndexFormatError, match="changed since it was loaded"):
+            index.document("d3")
+        assert load_index(path).document("d3").body.startswith("omega 3" if longer
+                                                               else "alpha 4")
+
     def test_failed_save_leaves_the_old_file_and_nothing_else(self, toy_docs, tmp_path):
         path = tmp_path / "index.json"
         save_index(build_index(toy_docs), path)

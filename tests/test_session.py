@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
@@ -34,6 +35,7 @@ from searchsim.session import (
     LogFormatError,
     SessionPolicy,
     SnippetStopRule,
+    _check_topic_ids,
     derive_session_seed,
     read_session_log,
     run_campaign,
@@ -671,6 +673,21 @@ class TestCampaign:
                              backend=backend)
             assert backend.requests == []  # rejected before any session ran
 
+    # distinct ids of digits and separators, then maybe the empty id or "4"
+    # once more; a log file name keeps the digits and turns the rest into "_"
+    @given(st.lists(st.text(alphabet="401._ ", min_size=1, max_size=2), max_size=5,
+                    unique=True),
+           st.sampled_from([(), ("",), ("4",)]))
+    def test_topic_ids_are_refused_exactly_when_file_stems_collide(self, ids, extra):
+        ids += extra
+        stems = ["".join(c if c in "401" else "_" for c in topic_id) for topic_id in ids]
+        topics = [Topic(topic_id=topic_id, title="a topic") for topic_id in ids]
+        if "" in stems or len(set(stems)) < len(stems):
+            with pytest.raises(CampaignError):
+                _check_topic_ids(topics)
+        else:
+            _check_topic_ids(topics)
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failed_session_stops_sessions_not_yet_started(self, fixture_collection,
                                                            workers):
@@ -844,6 +861,47 @@ class TestLogFiles:
         with pytest.raises(LogFormatError, match=f"line {2 + deleted}: seq {deleted + 1} "
                                                  f"is not the record's position {deleted}"):
             session_log_from_jsonl(b"\n".join(lines))
+
+    # lines as a hand edit or a bad copy leaves them. Line 1 is the header,
+    # lines 2-5 the records, and line 6 the empty rest after the last newline
+    @pytest.mark.parametrize("edit, lineno", [
+        (lambda lines: [" " + lines[0], "\t" + lines[1], *lines[2:]], None),
+        (lambda lines: [lines[0] + " ", lines[1] + "\t ", *lines[2:]], None),
+        (lambda lines: [line + "\r" for line in lines[:-1]] + [""], None),
+        (lambda lines: ["\ufeff" + lines[0], *lines[1:]], 1),
+        (lambda lines: [*lines[:2], "\ufeff" + lines[2], *lines[3:]], 3),
+        (lambda lines: [*lines[:2], lines[2] + lines[3], *lines[4:]], 3),
+        (lambda lines: [*lines[:2], lines[2] + " " + lines[3], *lines[4:]], 3),
+        (lambda lines: [*lines[:2], lines[2] + "}", *lines[3:]], 3),
+        (lambda lines: [*lines[:2], lines[2][:40], lines[2][40:], *lines[3:]], 3),
+        (lambda lines: [*lines[:2], lines[2][:-1], *lines[3:]], 3),
+        (lambda lines: [*lines[:4], lines[4][:-9], *lines[5:]], 5),
+        (lambda lines: [*lines[:2], "{}", *lines[3:]], 3),
+        (lambda lines: [*lines[:2], '{"a":1}{}', *lines[3:]], 3),
+    ], ids=["leading_whitespace", "trailing_whitespace", "crlf", "bom_in_header",
+            "bom_in_record", "two_records", "two_records_spaced", "extra_brace",
+            "split_record", "record_without_its_brace", "last_record_cut_short",
+            "empty_object", "two_objects"])
+    def test_edited_lines_are_read_as_json_loads_reads_them(self, monkeypatch, edit, lineno):
+        log = make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
+                        (SNIPPET_VIEWED, 1.0, {"doc_id": "d", "rank": 1}),
+                        (ANOMALY, 0.0, {"message": "m"}),
+                        (SESSION_ENDED, 0.0, {"reason": END_MAX_QUERIES})])
+        data = "\n".join(edit(session_log_to_jsonl(log).decode("utf-8").split("\n")))
+
+        def outcome():
+            try:
+                return session_log_from_jsonl(data.encode("utf-8"))
+            except LogFormatError as exc:
+                return str(exc)
+
+        read = outcome()
+        if lineno is None:
+            assert read == log
+        else:
+            assert read.startswith(f"bad session log, line {lineno}: ")
+        monkeypatch.setattr(searchsim.session, "_record", json.loads)
+        assert outcome() == read
 
     def test_write_read_and_manifest(self, tmp_path, twin_setup):
         _, index, topic, qrels = twin_setup
