@@ -159,12 +159,12 @@ def _collect_logs(logs_dir: Path, force: bool):
     logs = [read_session_log(p) for p in paths]
     owners: dict[str, str] = {}
     for p, log in zip(paths, logs):
-        stem = session_log_filename(log).removesuffix(".jsonl")
-        owner = owners.setdefault(stem, p.name)
+        name = session_log_filename(log)
+        owner = owners.setdefault(name, p.name)
         if owner != p.name:
-            raise ConfigError(f"session logs {owner} and {p.name} would write the same raw "
-                              f"curve files ({stem}.ig.csv, {stem}.sdcg.csv); evaluate "
-                              "them in separate directories")
+            raise ConfigError(f"session logs {owner} and {p.name} both hold the session "
+                              f"{name}, so they would write the same raw curve files; "
+                              "evaluate them in separate directories")
     miscounted = [f"{p.name} has {len(log.interactions)}, not {listed[p.name]}"
                   for p, log in zip(paths, logs)
                   if p.name in listed and len(log.interactions) != listed[p.name]]
