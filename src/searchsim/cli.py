@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--name", default="campaign", help="prefix for curve files")
     p_eval.add_argument("--force", action="store_true",
                         help="evaluate the logs that are present even if they mix "
-                        "campaign configs, or miss logs or interactions that "
-                        "manifest.json lists")
+                        "campaign configs, miss logs or interactions that "
+                        "manifest.json lists, or are not listed there; two logs "
+                        "of one topic and user kind are refused all the same")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="print a summary of an evaluation")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import gt, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -190,18 +190,10 @@ def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
 
 # --- CSV output ------------------------------------------------------------------
 
-_NUMBERS = frozenset({int, float})
-
-
 def write_csv(path: str | Path, rows: Iterable[Sequence], header: Sequence[str]) -> None:
-    """Write ``header`` and ``rows``; a float is written as its repr and an
-    int as its str, as ``csv`` writes them."""
-    rows = list(rows)
+    """Write ``header`` and ``rows``; ``csv`` writes a float as its repr and
+    an int as its str."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if _NUMBERS.issuperset(map(type, chain.from_iterable(rows))):
-            # numbers need no quoting, so the rows are joined in one go
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
-        else:
-            writer.writerows(rows)
+        writer.writerows(rows)
