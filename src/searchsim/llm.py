@@ -1,4 +1,6 @@
-"""Chat-completion backends: a live HTTP client and a deterministic scripted stand-in.
+"""Chat-completion backends: a live HTTP client and a deterministic scripted stand-in,
+plus ``ReplyMemo``, which a campaign's sessions share to ask each temperature-0
+question once.
 
 The scripted backend is a pure function of (messages, seed): it first tries a
 reply table (keys matched as substrings of the rendered prompt), then falls
@@ -13,6 +15,7 @@ import logging
 import os
 import re
 import ssl
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -214,6 +217,64 @@ def probe_endpoint(config: BackendConfig) -> bool:
     except _TRANSPORT_ERRORS:
         return False
     return True
+
+
+class _InFlight:
+    """A request its first caller has sent; ``response`` stays None if it fails."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.response: ChatResponse | None = None
+
+
+class ReplyMemo:
+    """Wraps a backend and asks it each temperature-0 question once.
+
+    Judgments and summaries run at temperature 0 with a fixed seed, so the
+    first reply serves every identical request; a request at any other
+    temperature is always forwarded. A request that arrives while the same
+    one is in flight waits for that reply instead of sending its own, so each
+    question reaches the backend once however the callers interleave. A
+    failure is never kept: its waiters and every later caller send their own.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._lock = threading.Lock()
+        self._replies: dict[bytes, ChatResponse | _InFlight] = {}
+
+    @staticmethod
+    def _key(request: ChatRequest) -> bytes:
+        # a digest, so memory does not grow with the prompts' length
+        material = [request.tag, request.temperature, request.seed,
+                    [[m.role, m.content] for m in request.messages]]
+        return hashlib.sha256(json.dumps(material).encode("ascii")).digest()
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        if request.temperature != 0:
+            return self.inner.complete(request)
+        key = self._key(request)
+        with self._lock:
+            entry = self._replies.get(key)
+            if entry is None:
+                flight = self._replies[key] = _InFlight()
+        if entry is None:
+            try:
+                flight.response = self.inner.complete(request)
+            except BaseException:
+                with self._lock:
+                    del self._replies[key]
+                raise
+            else:
+                with self._lock:  # only the reply is kept; waiters hold the flight
+                    self._replies[key] = flight.response
+            finally:
+                flight.done.set()
+            return flight.response
+        if isinstance(entry, _InFlight):
+            entry.done.wait()
+            entry = entry.response
+        return entry if entry is not None else self.inner.complete(request)
 
 
 # --- scripted backend ----------------------------------------------------------

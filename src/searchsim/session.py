@@ -36,7 +36,7 @@ from .agents import (
 )
 from .corpus import QrelSet, Topic
 from .index import MIN_SNIPPET_CHARS, InvertedIndex, search
-from .llm import BackendError
+from .llm import BackendError, ReplyMemo
 
 # Interaction kinds
 QUERY_ISSUED = "QueryIssued"
@@ -366,11 +366,15 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     Per-session seeds derive from (campaign_seed, topic_id, kind). RND_STAR
     sessions run after their topic's FTTC session so they can replay its
     query list; the returned order is deterministic regardless of workers.
+    The sessions share one ``ReplyMemo`` over ``backend``: the kinds' prompts
+    coincide until feedback tells them apart, and the backend is asked each
+    temperature-0 question once per campaign.
     """
     kinds = validate_campaign_kinds(list(kinds))
     if not topics:
         raise CampaignError("at least one topic is required")
     _check_topic_ids(topics)
+    backend = ReplyMemo(backend)
 
     def _run(topic: Topic, kind: UserKind, preset: list[str] | None = None) -> SessionLog:
         return run_session(topic, kind, index, qrels, policy=policy,

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import socket
 import ssl
+import sys
 import threading
+import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -19,11 +23,13 @@ from searchsim.llm import (
     ChatMessage,
     ChatRequest,
     HttpBackend,
+    ReplyMemo,
     ScriptedBackend,
     default_params,
     load_reply_table,
     probe_endpoint,
 )
+from backends import CapturingBackend
 
 
 def request_of(text, tag=None, seed=0, temperature=0.0):
@@ -131,6 +137,119 @@ class TestReplyTableFile:
         path.write_text("no separator here\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_reply_table(path)
+
+
+class _SlowBackend:
+    """Answers as the scripted backend does after ``delay`` seconds, counting
+    its calls; the calls numbered in ``fail_on`` raise ``BackendError``."""
+
+    def __init__(self, delay=0.0, fail_on=()):
+        self.delay = delay
+        self.fail_on = set(fail_on)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        time.sleep(self.delay)
+        if call in self.fail_on:
+            raise BackendError(f"outage on call {call}")
+        return ScriptedBackend().complete(request)
+
+
+def ask_together(backend, request, callers=2):
+    """Each caller's reply text, or the BackendError it got; all start at once."""
+    barrier = threading.Barrier(callers)
+    results = [None] * callers
+
+    def ask(i):
+        barrier.wait(timeout=5)
+        try:
+            results[i] = backend.complete(request).text
+        except BackendError as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(callers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    return results
+
+
+class TestReplyMemo:
+    JUDGE = ChatRequest((ChatMessage("system", "You judge relevance."),
+                         ChatMessage("user", "Is this relevant? yes or no")),
+                        tag=TAG_RELEVANCE_JUDGMENT)
+
+    def test_a_question_asked_twice_at_once_reaches_the_backend_once(self):
+        inner = _SlowBackend(delay=0.2)
+        texts = ask_together(ReplyMemo(inner), self.JUDGE)
+        assert inner.calls == 1
+        assert texts == [ScriptedBackend().complete(self.JUDGE).text] * 2
+
+    def test_many_callers_in_any_order_send_each_question_once(self):
+        inner = CapturingBackend(ScriptedBackend())
+        memo = ReplyMemo(inner)
+        requests = [request_of(f"question {i}", tag=TAG_RELEVANCE_JUDGMENT) for i in range(40)]
+        expected = [ScriptedBackend().complete(r).text for r in requests]
+        answers = {}
+
+        def ask(seed):
+            order = random.Random(seed).sample(range(len(requests)), len(requests))
+            answers[seed] = {i: memo.complete(requests[i]).text for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(r.prompt_text() for r in inner.requests) == sorted(
+            r.prompt_text() for r in requests)
+        assert all(answers[seed] == dict(enumerate(expected)) for seed in range(8))
+
+    def test_temperature_one_is_always_forwarded(self):
+        inner = _SlowBackend()
+        memo = ReplyMemo(inner)
+        hot = replace(self.JUDGE, temperature=1.0, tag=TAG_QUERY_GENERATION)
+        memo.complete(hot)
+        memo.complete(hot)
+        assert inner.calls == 2
+
+    def test_requests_that_differ_in_any_part_are_all_forwarded(self):
+        inner = _SlowBackend()
+        memo = ReplyMemo(inner)
+        system, user = self.JUDGE.messages
+        requests = [self.JUDGE,
+                    replace(self.JUDGE, tag=TAG_SUMMARIZATION),
+                    replace(self.JUDGE, seed=1),
+                    replace(self.JUDGE, messages=(ChatMessage("user", system.content), user)),
+                    replace(self.JUDGE, messages=(system, ChatMessage("user", "Is it? yes"))),
+                    replace(self.JUDGE, temperature=0.5)]
+        for request in requests + requests:
+            memo.complete(request)
+        assert inner.calls == len(requests) + 1  # only temperature 0.5 goes again
+
+    def test_a_failure_is_not_remembered(self):
+        inner = _SlowBackend(delay=0.2, fail_on={1})
+        memo = ReplyMemo(inner)
+        expected = ScriptedBackend().complete(self.JUDGE).text
+        first, waiter = sorted(ask_together(memo, self.JUDGE), key=lambda r: r == expected)
+        assert isinstance(first, BackendError) and waiter == expected
+        assert inner.calls == 2  # the waiter sent its own request
+        assert memo.complete(self.JUDGE).text == expected
+        assert inner.calls == 3  # and so did the next caller
+        assert memo.complete(self.JUDGE).text == expected
+        assert inner.calls == 3  # whose reply is kept
 
 
 class _MockChatHandler(BaseHTTPRequestHandler):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import InvertedIndex, build_index
 from searchsim.llm import BackendError, ScriptedBackend
+from searchsim.metrics import information_gain_curve
 from searchsim.session import (
     ANOMALY,
     CONSECUTIVE_IRRELEVANT,
@@ -33,6 +35,7 @@ from searchsim.session import (
     CampaignError,
     CostModel,
     LogFormatError,
+    SessionLog,
     SessionPolicy,
     SnippetStopRule,
     _check_topic_ids,
@@ -476,42 +479,61 @@ PROPERTY_DOCS = [Document(doc_id=f"d{i}", body=" ".join(WORDS[j % 8] for j in ra
 PROPERTY_INDEX = build_index(PROPERTY_DOCS)
 
 
+@st.composite
+def written_logs(draw) -> SessionLog:
+    """A log as run_session writes it, under a drawn policy, cost model, reply
+    and outage."""
+    page_size, max_pages = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    stop_kind = draw(st.sampled_from([FIXED_DEPTH, CONSECUTIVE_IRRELEVANT]))
+    stop_value = draw(st.integers(1, 5))
+    if stop_kind == FIXED_DEPTH:
+        stop_value = min(stop_value, page_size * max_pages)
+    policy = SessionPolicy(max_queries=draw(st.integers(1, 4)), page_size=page_size,
+                           max_pages_per_query=max_pages,
+                           stop_rule=SnippetStopRule(stop_kind, stop_value),
+                           queries_per_session=draw(st.integers(1, 4)),
+                           p_random=draw(st.sampled_from([0.5, 1.0, 0.0])))
+    costs = st.sampled_from([0.0, 3.0]) | st.floats(0, 1e6, allow_subnormal=False)
+    cost_model = draw(st.none() | st.builds(CostModel, costs, costs, costs, costs))
+    topic_id = draw(st.text(max_size=4))
+    title = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join))
+    preset = draw(st.lists(st.sampled_from(WORDS), max_size=3))
+    qrels = QrelSet({(topic_id, d.doc_id): i % 3 for i, d in enumerate(PROPERTY_DOCS)
+                     if i % 4})
+    backend = backend_with(preset or [title],
+                           {"Would this text be useful": draw(st.sampled_from(["Yes", "No"]))})
+    fail_at = draw(st.none() | st.integers(1, 15))
+    if fail_at is not None:
+        backend = _FailsOnCall(backend, fail_at)
+    log = run_session(Topic(topic_id=topic_id, title=title), draw(st.sampled_from(list(UserKind))),
+                      PROPERTY_INDEX, qrels, policy=policy, cost_model=cost_model,
+                      backend=backend, rng_seed=draw(st.integers(0, 2**64 - 1)),
+                      preset_queries=preset)
+    log.config_hash = draw(st.none() | st.just("cafe" * 16))
+    return log
+
+
 class TestWrittenLogsReadBack:
     """Every log that run_session writes passes the reader and reads back equal."""
 
     @settings(max_examples=80)
-    @given(kind=st.sampled_from(list(UserKind)),
-           topic_id=st.text(max_size=4),
-           title=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
-           page_size=st.integers(1, 4), max_pages=st.integers(1, 3),
-           stop_kind=st.sampled_from([FIXED_DEPTH, CONSECUTIVE_IRRELEVANT]),
-           stop_value=st.integers(1, 5), max_queries=st.integers(1, 4),
-           queries_per_session=st.integers(1, 4), p_random=st.sampled_from([0.5, 1.0, 0.0]),
-           answer=st.sampled_from(["Yes", "No"]),
-           preset=st.lists(st.sampled_from(WORDS), max_size=3),
-           fail_at=st.none() | st.integers(1, 15),
-           config_hash=st.none() | st.just("cafe" * 16),
-           rng_seed=st.integers(0, 2**64 - 1))
-    def test_run_session_log_reads_back_equal(self, kind, topic_id, title, page_size,
-                                              max_pages, stop_kind, stop_value, max_queries,
-                                              queries_per_session, p_random, answer, preset,
-                                              fail_at, config_hash, rng_seed):
-        if stop_kind == FIXED_DEPTH:
-            stop_value = min(stop_value, page_size * max_pages)
-        policy = SessionPolicy(max_queries=max_queries, page_size=page_size,
-                               max_pages_per_query=max_pages,
-                               stop_rule=SnippetStopRule(stop_kind, stop_value),
-                               queries_per_session=queries_per_session, p_random=p_random)
-        qrels = QrelSet({(topic_id, d.doc_id): i % 3 for i, d in enumerate(PROPERTY_DOCS)
-                         if i % 4})
-        backend = backend_with(preset or [title], {"Would this text be useful": answer})
-        if fail_at is not None:
-            backend = _FailsOnCall(backend, fail_at)
-        log = run_session(Topic(topic_id=topic_id, title=title), kind, PROPERTY_INDEX, qrels,
-                          policy=policy, backend=backend, rng_seed=rng_seed,
-                          preset_queries=preset)
-        log.config_hash = config_hash
+    @given(written_logs())
+    def test_run_session_log_reads_back_equal(self, log):
         assert session_log_from_jsonl(session_log_to_jsonl(log)) == log
+
+
+class TestWrittenLogsGainCurve:
+    """The IG curve of every log that run_session writes spends the log's cost
+    and never loses effect."""
+
+    @settings(max_examples=80)
+    @given(written_logs())
+    def test_final_effort_is_total_cost_and_effect_never_falls(self, log):
+        points = information_gain_curve(log).points
+        assert len(points) == len(log.interactions)
+        assert points[-1][0] == log.total_cost()
+        effects = [effect for _, effect in points]
+        assert effects == sorted(effects)
 
 
 class TestPinnedSessionLogs:
@@ -650,6 +672,39 @@ class TestCampaign:
                                 backend=ScriptedBackend(), workers=4)
         assert ([session_log_to_jsonl(log) for log in serial]
                 == [session_log_to_jsonl(log) for log in parallel])
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_temperature_0_question_is_asked_once_and_logs_match_solo_runs(
+            self, fixture_collection, workers):
+        config = CampaignConfig.from_file(fixture_path(CAMPAIGN))
+        docs, topics, qrels = fixture_collection
+        index = build_index(docs, **config.index_options())
+        kinds = validate_campaign_kinds(config.users)
+        assert set(kinds) == set(UserKind)
+        shared = CapturingBackend(ScriptedBackend())
+        logs = run_campaign(topics, kinds, index, qrels, policy=config.policy,
+                            cost_model=config.cost_model, backend=shared,
+                            campaign_seed=config.campaign_seed, workers=workers)
+        solo_backend = CapturingBackend(ScriptedBackend())
+        solo = {}
+        for topic in topics:
+            for kind in kinds:  # FTTC before RND_STAR, which replays its queries
+                fttc = solo.get((topic.topic_id, UserKind.FTTC))
+                solo[(topic.topic_id, kind)] = run_session(
+                    topic, kind, index, qrels, policy=config.policy,
+                    cost_model=config.cost_model, backend=solo_backend,
+                    rng_seed=derive_session_seed(config.campaign_seed, topic.topic_id, kind),
+                    preset_queries=fttc.initial_queries if kind is UserKind.RND_STAR else None)
+        assert [session_log_to_jsonl(log) for log in logs] == [
+            session_log_to_jsonl(solo[(log.topic_id, log.user_kind)]) for log in logs]
+
+        def asked(backend, temperature_0):
+            return Counter((r.tag, r.temperature, r.seed, r.messages) for r in backend.requests
+                           if (r.temperature == 0) == temperature_0)
+        assert set(asked(shared, True).values()) == {1}
+        assert asked(shared, True).keys() == asked(solo_backend, True).keys()
+        assert asked(shared, False) == asked(solo_backend, False)
+        assert len(shared.requests) < len(solo_backend.requests)
 
     def test_campaign_requires_topics(self, campaign_setup):
         _, index, qrels, policy = campaign_setup
