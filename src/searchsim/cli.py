@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -186,6 +187,9 @@ def cmd_evaluate(args) -> int:
     logs_dir = Path(args.logs)
     if not logs_dir.is_dir():
         raise ConfigError(f"logs directory not found: {logs_dir}")
+    for flag, base in (("--sdcg-b", args.sdcg_b), ("--sdcg-bq", args.sdcg_bq)):
+        if not 2 <= base < math.inf:
+            raise ConfigError(f"{flag} must be a finite number >= 2, got {base}")
     qrels = None
     if args.qrels:
         qrels_path = Path(args.qrels)
@@ -285,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--qrels", help="qrels file, required for --scope inspected")
     p_eval.add_argument("--scope", choices=[SCOPE_JUDGED, SCOPE_INSPECTED],
                         default=SCOPE_JUDGED)
-    p_eval.add_argument("--sdcg-b", type=float, default=2.0)
-    p_eval.add_argument("--sdcg-bq", type=float, default=4.0)
+    p_eval.add_argument("--sdcg-b", type=float, default=2.0, help="rank log base, >= 2")
+    p_eval.add_argument("--sdcg-bq", type=float, default=4.0, help="query log base, >= 2")
     p_eval.add_argument("--name", default="campaign", help="prefix for curve files")
     p_eval.add_argument("--force", action="store_true",
                         help="evaluate the logs that are present even if they mix "

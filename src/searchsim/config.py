@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -50,11 +51,11 @@ def _convert(value, key: str, convert):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _cost(value) -> float:
-    """``value`` as a float that CostModel accepts: not negative."""
+def _finite(value) -> float:
+    """``value`` as a finite float >= 0, as CostModel and BM25's k1 take it."""
     value = float(value)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"must be a finite number >= 0, got {value}")
     return value
 
 
@@ -142,8 +143,10 @@ class CampaignConfig:
             users = [UserKind(u) for u in users]
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
-        k1 = _convert(index_opts.get("k1", DEFAULT_K1), "index.k1", float)
+        k1 = _convert(index_opts.get("k1", DEFAULT_K1), "index.k1", _finite)
         b = _convert(index_opts.get("b", DEFAULT_B), "index.b", float)
+        if not 0 <= b <= 1:
+            raise ConfigError(f"index.b must be a number in [0, 1], got {b}")
         campaign_seed = _convert(raw.get("campaign_seed", 0), "campaign_seed", int)
         anomaly_threshold = _convert(raw.get("anomaly_threshold", 0), "anomaly_threshold", int)
         llm_values = _given(BackendConfig, llm_opts)
@@ -164,7 +167,7 @@ class CampaignConfig:
                     **_typed(policy_opts["stop_rule"], "session.stop_rule", dict))
             policy = SessionPolicy(**policy_opts)
             cost_model = CostModel(**{
-                name: _convert(value, f"costs.{name.removesuffix('_cost')}", _cost)
+                name: _convert(value, f"costs.{name.removesuffix('_cost')}", _finite)
                 for name, value in _given(CostModel, costs, "_cost").items()})
             persona = Persona(**{name: _typed(value, f"persona.{name}", str)
                                  for name, value in _given(Persona, persona_opts).items()})
@@ -256,8 +259,11 @@ class CampaignConfig:
             built = getattr(index, name)
             if built != wanted:
                 if name == "stopwords":
-                    built, wanted = built is not None, wanted is not None
-                found.append(f"{name} (index {built}, config {wanted})")
+                    found.append(f"stopwords (the index holds a different stopword list: "
+                                 f"size {len(built or ())} in the index, "
+                                 f"{len(wanted or ())} in the config)")
+                else:
+                    found.append(f"{name} (index {built}, config {wanted})")
         return found
 
     def make_backend(self):

@@ -11,12 +11,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-# Document.source values
-TRECTEXT = "trectext"
-JSONL = "jsonl"
-SYNTHETIC = "synthetic"
-SOURCES = (TRECTEXT, JSONL, SYNTHETIC)
-
 # Default key mapping for line-delimited corpora: ours -> record key.
 DEFAULT_FIELD_MAP: Mapping[str, str] = {"id": "id", "title": "title", "body": "body"}
 
@@ -55,14 +49,13 @@ class ParseReport:
 class Document:
     doc_id: str
     body: str
-    title: str | None = None
-    source: str = SYNTHETIC
+    title: str | None = None  # an empty title is no title: "" reads as None
 
     def __post_init__(self):
         if not self.doc_id or not self.doc_id.strip():
             raise ValueError("doc_id must be non-empty")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
+        if self.title == "":
+            object.__setattr__(self, "title", None)
 
     def full_text(self) -> str:
         """Title and body joined, as presented to a reader."""
@@ -173,7 +166,7 @@ def parse_trectext(data: bytes, *, strict: bool = False,
         body_parts = [_clean_sgml_chunk(t.group(2)) for t in _BODY_TAG_RE.finditer(inner)]
         title = _norm_ws(" ".join(p for p in title_parts if p)) or None
         body = "\n\n".join(p for p in body_parts if p)
-        docs.append(Document(doc_id=doc_id, title=title, body=body, source=TRECTEXT))
+        docs.append(Document(doc_id=doc_id, title=title, body=body))
     return docs
 
 
@@ -219,7 +212,7 @@ def parse_jsonl_corpus(data: bytes, field_map: Mapping[str, str] | None = None, 
             body = ""
         title = record.get(fmap["title"])
         docs.append(Document(doc_id=doc_id, title=None if title is None else str(title),
-                             body=str(body), source=JSONL))
+                             body=str(body)))
     return docs
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from .corpus import SOURCES, Document
+from .corpus import Document
 
 # Alphanumeric runs, lowercased; underscores and punctuation split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -320,15 +320,13 @@ def _first_query_token(body: str, qterms: set[str]) -> tuple[int, int]:
 # --- on-disk form -------------------------------------------------------------
 
 _FORMAT_NAME = "searchsim.index"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # the unsigned array types a block may use, narrowest first
 _TYPECODES = ("B", "H", "I")
 # the text offsets are written after the text, so their type cannot be the
 # narrowest that holds the text's length
 _OFFSET_TYPECODE = "Q"
 _OFFSET_SIZE = array.array(_OFFSET_TYPECODE).itemsize
-# each source name to its one str, which every loaded document then shares
-_SOURCES = {source: source for source in SOURCES}
 _REBUILD = "rerun `searchsim index` to rebuild it"
 
 
@@ -343,9 +341,10 @@ def _write_index(index: InvertedIndex, out: BinaryIO) -> None:
     """One JSON header line, then the document lengths and each term's
     [ordinal, tf, ...] in term order as one block of little-endian unsigned
     integers in the narrowest array type that holds the largest value, then
-    each document's title and body in UTF-8, then the 2·n_docs + 1 offsets
-    into that text (title start, body start, ..., end) as little-endian
-    unsigned 64-bit integers. Each piece is written as it is made."""
+    each document's title (empty when it has none) and body in UTF-8, then
+    the 2·n_docs + 1 offsets into that text (title start, body start, ...,
+    end) as little-endian unsigned 64-bit integers. Each piece is written as
+    it is made."""
     postings = index.postings
     documents = index.documents
     terms = sorted(postings)
@@ -365,8 +364,6 @@ def _write_index(index: InvertedIndex, out: BinaryIO) -> None:
         "k1": index.k1,
         "b": index.b,
         "doc_ids": index.doc_ids,
-        "sources": [d.source for d in documents],
-        "untitled": [i for i, d in enumerate(documents) if d.title is None],
         "terms": terms,
         "df": [len(postings[term]) // 2 for term in terms],
     }
@@ -394,10 +391,8 @@ class _StoredDocuments(Sequence[Document]):
     """The documents of a loaded index. Each is decoded from the file's text
     block when it is read, and nothing decoded is kept."""
 
-    def __init__(self, doc_ids: list[str], sources: list[str], untitled: frozenset[int],
-                 text: memoryview, offsets: array.array):
-        self._doc_ids, self._sources, self._untitled = doc_ids, sources, untitled
-        self._text, self._offsets = text, offsets
+    def __init__(self, doc_ids: list[str], text: memoryview, offsets: array.array):
+        self._doc_ids, self._text, self._offsets = doc_ids, text, offsets
         self._file: tuple[int, int, int] | None = None
 
     def watch(self, fd: int, loaded: os.stat_result) -> None:
@@ -427,14 +422,12 @@ class _StoredDocuments(Sequence[Document]):
         title_start, body_start, end = self._offsets[2 * i:2 * i + 3]
         text = self._text
         try:
-            title = (None if i in self._untitled
-                     else str(text[title_start:body_start], "utf-8"))
+            title = str(text[title_start:body_start], "utf-8")
             body = str(text[body_start:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"document {self._doc_ids[i]!r}: its text is not "
                                    f"UTF-8 ({exc.reason}); {_REBUILD}") from None
-        return Document(doc_id=self._doc_ids[i], title=title, body=body,
-                        source=self._sources[i])
+        return Document(doc_id=self._doc_ids[i], title=title, body=body)
 
 
 def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
@@ -459,15 +452,6 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
         if type(doc_ids) is not list or not all(type(doc_id) is str and doc_id.strip()
                                                 for doc_id in doc_ids):
             raise ValueError("doc_ids must be a list of non-blank strings")
-        try:
-            sources = [_SOURCES[source] for source in header["sources"]]
-        except KeyError as exc:
-            raise ValueError(f"unknown source {exc.args[0]!r}") from None
-        if len(sources) != n_docs:
-            raise ValueError(f"{len(sources)} sources for {n_docs} documents")
-        untitled = frozenset(header["untitled"])
-        if not all(type(i) is int and 0 <= i < n_docs for i in untitled):
-            raise ValueError(f"an untitled document ordinal outside [0, {n_docs})")
         stopwords = header["stopwords"]
         typecode, itemsize = header["typecode"], header["itemsize"]
         if typecode not in _TYPECODES or array.array(typecode).itemsize != itemsize:
@@ -494,8 +478,6 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
                 or not all(map(operator.le, offsets, offsets[1:]))):
             raise ValueError(f"the text offsets do not rise from 0 to the "
                              f"{len(text)} bytes of the text block")
-        if any(offsets[2 * i] != offsets[2 * i + 1] for i in untitled):
-            raise ValueError("an untitled document has a title")
         postings: dict[str, Sequence[int]] = {}
         start = n_docs
         for term, df in zip(terms, dfs):
@@ -513,7 +495,7 @@ def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
         index = InvertedIndex(
             postings=postings,
             doc_lengths=values[:n_docs].tolist(),
-            documents=_StoredDocuments(doc_ids, sources, untitled, text, offsets),
+            documents=_StoredDocuments(doc_ids, text, offsets),
             stopwords=frozenset(stopwords) if stopwords else None,
             stem=bool(header["stem"]),
             k1=float(header["k1"]),

@@ -101,8 +101,8 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
     ranks every snippet the user viewed, taking grades from ``qrels`` (or the
     recorded judgment when present). Unjudged documents gain 0 either way.
     """
-    if b < 2 or bq < 2:
-        raise ValueError("b and bq must be >= 2")
+    if not (2 <= b < math.inf and 2 <= bq < math.inf):
+        raise ValueError(f"b and bq must be finite numbers >= 2, got b={b!r}, bq={bq!r}")
     if scope not in (SCOPE_JUDGED, SCOPE_INSPECTED):
         raise ValueError(f"unknown scope {scope!r}")
 
@@ -140,18 +140,13 @@ def sdcg_curve(log: SessionLog, b: float = 2.0, bq: float = 4.0, *,
 
 # --- aggregation -----------------------------------------------------------------
 
-def _as_points(curve) -> Sequence[tuple[float, float]]:
-    return curve.points if hasattr(curve, "points") else curve
-
-
-def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
-                     ) -> list[tuple[float, float, int]]:
-    """Mean curve over sessions: step-interpolate each curve onto the grid
-    (last value carried forward, 0 before the first point) and average.
+def aggregate_curves(curves: Sequence[GainCurve | SdcgCurve]) -> list[tuple[float, float, int]]:
+    """Mean curve over sessions: step-interpolate each curve onto the sorted
+    union of all curves' x values (last value carried forward, 0 before the
+    first point) and average.
 
     Each curve's x values must be non-decreasing, as the IG and sDCG curves'
-    are. Without an explicit grid, the sorted union of all curves' x values
-    is used. Returns (x, mean_y, n) rows, in the grid's order.
+    are. Returns (x, mean_y, n) rows in ascending x.
     """
     if not curves:
         raise ValueError("at least one curve is required")
@@ -159,7 +154,7 @@ def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
     # keeps a curve's points at one x in order, so its last one wins
     events: list[tuple[float, int, float]] = []
     for c, curve in enumerate(curves):
-        points = _as_points(curve)
+        points = curve.points
         if not points:
             continue
         xs, ys = zip(*points)
@@ -167,24 +162,18 @@ def aggregate_curves(curves: Sequence, x_grid: Sequence[float] | None = None
             raise ValueError("curve x values must be non-decreasing")
         events += zip(xs, repeat(c), ys)
     events.sort(key=itemgetter(0))
-    if x_grid is None:
-        grid = sorted(set(map(itemgetter(0), events)))
-        order = range(len(grid))
-    else:
-        grid = list(x_grid)
-        order = sorted(range(len(grid)), key=grid.__getitem__)
     n = len(curves)
     values = [0.0] * n
-    rows: list = [None] * len(grid)
+    rows = []
     e, n_events = 0, len(events)
-    for g in order:
-        x = grid[g]
-        while e < n_events and events[e][0] <= x:
+    while e < n_events:
+        x = events[e][0]
+        while e < n_events and events[e][0] == x:
             _, c, y = events[e]
             values[c] = y
             e += 1
         # summed in curve order, as one value per curve at each grid point
-        rows[g] = (x, sum(values) / n, n)
+        rows.append((x, sum(values) / n, n))
     return rows
 
 

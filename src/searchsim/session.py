@@ -15,6 +15,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import index as index_module
 from .agents import (
@@ -63,22 +64,14 @@ class CampaignError(ValueError):
     """Invalid campaign setup, reported before any session runs."""
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
+    """One logged step. ``run_session`` builds it from a ``CostModel``'s
+    costs, and ``session_log_from_jsonl`` checks each field it reads."""
+
     seq: int
     kind: str
     cost: float
     payload: dict
-
-    def __post_init__(self):
-        if self.kind not in INTERACTION_KINDS:
-            raise ValueError(f"unknown interaction kind {self.kind!r}")
-        # run for every logged record, so kept cheap; `type(seq) is int` refuses a bool
-        if type(self.seq) is not int or self.seq < 0:
-            raise ValueError(f"seq must be an integer >= 0, got {self.seq!r}")
-        if type(self.cost) is bool or not isinstance(self.cost, (int, float)) \
-                or not 0 <= self.cost < math.inf:
-            raise ValueError(f"cost must be a finite number >= 0, got {self.cost!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,9 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("query_cost", "snippet_cost", "document_cost", "judgment_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_int(name: str, value, minimum: int = 1) -> None:
@@ -483,21 +477,29 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
             if log is None:
                 log = _header(record)
                 continue
-            kind, payload = record["kind"], record["payload"]
+            seq, kind, cost, payload = (record["seq"], record["kind"], record["cost"],
+                                        record["payload"])
             if not isinstance(payload, dict):
                 raise ValueError("payload is not a JSON object")
             keys = _PAYLOAD_KEYS.get(kind)
             if keys and not payload.keys() >= keys:
                 raise ValueError(f"{kind} payload lacks {sorted(keys - payload.keys())}")
-            it = Interaction(record["seq"], kind, record["cost"], payload)
-            if it.seq != len(log.interactions):
-                raise ValueError(f"seq {it.seq} is not the record's position "
+            if kind not in INTERACTION_KINDS:
+                raise ValueError(f"unknown interaction kind {kind!r}")
+            # `type(seq) is int` refuses a bool
+            if type(seq) is not int or seq < 0:
+                raise ValueError(f"seq must be an integer >= 0, got {seq!r}")
+            if type(cost) is bool or not isinstance(cost, (int, float)) \
+                    or not 0 <= cost < math.inf:
+                raise ValueError(f"cost must be a finite number >= 0, got {cost!r}")
+            if seq != len(log.interactions):
+                raise ValueError(f"seq {seq} is not the record's position "
                                  f"{len(log.interactions)}")
             if kind == QUERY_ISSUED:
                 queried = True
             elif not queried and kind in _AFTER_QUERY:
                 raise ValueError(f"{kind} before the first {QUERY_ISSUED}")
-            log.interactions.append(it)
+            log.interactions.append(Interaction(seq, kind, cost, payload))
         except (ValueError, KeyError, TypeError) as exc:
             raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     if log is None:

@@ -16,7 +16,6 @@ from collections import Counter
 from searchsim.agents import UserKind
 from searchsim.corpus import (
     _DOCNO_RE,
-    TRECTEXT,
     Document,
     ParseError,
     ParseReport,
@@ -206,5 +205,5 @@ def oracle_parse_trectext(data, *, strict=False, report=None):
         body_parts = [_clean_sgml_chunk(t.group(2)) for t in _LAZY_BODY_TAG_RE.finditer(inner)]
         title = _norm_ws(" ".join(p for p in title_parts if p)) or None
         body = "\n\n".join(p for p in body_parts if p)
-        docs.append(Document(doc_id=doc_id, title=title, body=body, source=TRECTEXT))
+        docs.append(Document(doc_id=doc_id, title=title, body=body))
     return docs

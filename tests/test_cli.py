@@ -9,12 +9,13 @@ import pytest
 from searchsim.cli import main
 from searchsim.config import CampaignConfig
 from searchsim.fixtures import CAMPAIGN, fixture_path
+from searchsim.index import ENGLISH_STOPWORDS, build_index, save_index
 from searchsim.metrics import aggregate_curves, information_gain_curve
 from searchsim.agents import PromptTemplates, UserKind
 from searchsim.session import SessionLog, read_session_log, write_session_log
 
 from test_config import BAD_SESSION_VALUES
-from test_index import edit_v4, v2_file, v4_parts
+from test_index import edit_v5, v2_file, v5_parts
 
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
@@ -153,6 +154,19 @@ class TestCmdSimulate:
         assert main(["index", "--config", str(config_path)]) == 0
         assert main(["simulate", "--config", str(config_path)]) == 0
 
+    def test_index_with_another_stopword_list_is_named_with_both_sizes(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, users=("RND",))
+        config = json.loads(config_path.read_text())
+        config["index"]["stopwords"] = True
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        documents = CampaignConfig.from_file(config_path).load_documents()
+        (tmp_path / "out").mkdir()
+        save_index(build_index(documents, stopwords=frozenset({"the"})),
+                   tmp_path / "out" / "index.json")
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        assert (f"stopwords (the index holds a different stopword list: size 1 in the "
+                f"index, {len(ENGLISH_STOPWORDS)} in the config)") in capsys.readouterr().err
+
     def test_version_2_index_fails_validation_with_rebuild_message(self, tmp_path, capsys):
         config_path = write_config(tmp_path, users=("RND",))
         assert main(["index", "--config", str(config_path)]) == 0
@@ -167,11 +181,11 @@ class TestCmdSimulate:
         assert main(["index", "--config", str(config_path)]) == 0
         index_path = tmp_path / "out" / "index.json"
         data = index_path.read_bytes()
-        postings = v4_parts(data)[2]
+        postings = v5_parts(data)[2]
         # every term in two or more documents repeats its first ordinal
         repeated = {term: flat[:2] * 2 + flat[4:] for term, flat in postings.items()
                     if len(flat) >= 4}
-        index_path.write_bytes(edit_v4(data, postings=repeated))
+        index_path.write_bytes(edit_v5(data, postings=repeated))
         capsys.readouterr()
         assert main(["simulate", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
@@ -184,7 +198,7 @@ class TestCmdSimulate:
         assert main(["index", "--config", str(config_path)]) == 0
         index_path = tmp_path / "out" / "index.json"
         data = index_path.read_bytes()
-        index_path.write_bytes(edit_v4(data, text=b"\xff" * len(v4_parts(data)[3])))
+        index_path.write_bytes(edit_v5(data, text=b"\xff" * len(v5_parts(data)[3])))
         capsys.readouterr()
         assert main(["simulate", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
@@ -495,6 +509,16 @@ class TestCmdEvaluate:
         (logs / "broken.jsonl").write_bytes(b"\xff\n")
         assert main(["evaluate", "--logs", str(logs)]) != 0
         assert "bad session log, line 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--sdcg-b", "1.5"), ("--sdcg-bq", "nan"),
+                                             ("--sdcg-b", "inf")])
+    def test_bad_sdcg_base_is_refused_before_any_output(self, tmp_path, capsys, flag, value):
+        run_pipeline(tmp_path, write_config(tmp_path, users=("RND",)))
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(tmp_path / "out" / "logs"), flag, value]) == 1
+        assert f"{flag} must be a finite number >= 2, got {float(value)}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval").exists()
 
     def test_inspected_scope_needs_qrels(self, tmp_path):
         config_path = write_config(tmp_path, users=("RND",))

@@ -78,6 +78,27 @@ class TestFromFile:
             with pytest.raises(ConfigError, match=key):
                 CampaignConfig.from_file(write_raw(tmp_path, raw))
 
+    # json reads NaN and Infinity, and json.dumps writes them
+    @pytest.mark.parametrize("key, value", [
+        ("costs.query", float("nan")), ("costs.query", float("inf")),
+        ("index.k1", float("nan")), ("index.k1", float("inf")), ("index.k1", -1),
+        ("index.b", float("nan")), ("index.b", 7.0), ("index.b", -0.5),
+    ], ids=["cost_nan", "cost_inf", "k1_nan", "k1_inf", "k1_negative", "b_nan", "b_7",
+            "b_negative"])
+    def test_non_finite_cost_or_bad_bm25_parameter_is_refused(self, tmp_path, capsys,
+                                                               key, value):
+        raw = minimal_raw()
+        raw["output_dir"] = str(tmp_path / "out")
+        section, name = key.split(".")
+        raw[section] = {name: value}
+        path = write_raw(tmp_path, raw)
+        with pytest.raises(ConfigError, match=key):
+            CampaignConfig.from_file(path)
+        for command in ("index", "simulate"):
+            assert main([command, "--config", str(path)]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_stop_rule_reaches_at_most_the_results(self, tmp_path):
         raw = minimal_raw()
         raw["session"] = {"page_size": 5}

@@ -118,7 +118,7 @@ class TestParseJsonl:
     def test_single_record_with_field_map(self):
         docs = parse_jsonl_corpus(b'{"docid": "w1", "content": "text"}',
                                   {"id": "docid", "body": "content"})
-        assert docs == [Document(doc_id="w1", body="text", source="jsonl")]
+        assert docs == [Document(doc_id="w1", body="text")]
 
     def test_blank_lines_ignored(self):
         data = b'\n{"id": "a", "body": "x"}\n\n{"id": "b", "body": "y"}\n\n'
@@ -151,8 +151,8 @@ class TestParseJsonl:
 
     @pytest.mark.parametrize("char", LINE_BOUNDARIES)
     def test_line_boundary_characters_round_trip(self, char):
-        docs = [Document(doc_id=f"a{char}z", title=f"t{char}", body=f"one{char}two", source="jsonl"),
-                Document(doc_id="b", body=char, source="jsonl")]
+        docs = [Document(doc_id=f"a{char}z", title=f"t{char}", body=f"one{char}two"),
+                Document(doc_id="b", body=char)]
         data = "\n".join(json.dumps({"id": d.doc_id, "title": d.title, "body": d.body},
                                     ensure_ascii=False) for d in docs).encode()
         report = ParseReport()
@@ -278,6 +278,7 @@ class TestDocumentInvariants:
         with pytest.raises(ValueError):
             Document(doc_id="", body="x")
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            Document(doc_id="a", body="x", source="warc")
+    def test_empty_title_is_no_title(self):
+        assert Document(doc_id="a", body="x", title="").title is None
+        assert Document(doc_id="a", body="x", title="") == Document(doc_id="a", body="x")
+        assert parse_jsonl_corpus(b'{"id": "a", "title": "", "body": "x"}')[0].title is None

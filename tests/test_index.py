@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from searchsim.corpus import SOURCES, Document
+from searchsim.corpus import Document
 from searchsim.index import (
     ENGLISH_STOPWORDS,
     IndexBuildError,
@@ -86,8 +86,8 @@ def _packed(values, typecode: str) -> bytes:
     return packed.tobytes()
 
 
-def v4_parts(data: bytes):
-    """A version 4 index file as (header, doc lengths, {term: flat postings},
+def v5_parts(data: bytes):
+    """A version 5 index file as (header, doc lengths, {term: flat postings},
     text block, text offsets)."""
     head, _, rest = data.partition(b"\n")
     header = json.loads(head)
@@ -103,8 +103,8 @@ def v4_parts(data: bytes):
             _unpacked(rest[text_end:], "Q"))
 
 
-def v4_file(header: dict, lengths: list, postings: dict, text: bytes, offsets: list) -> bytes:
-    """Pack the parts into a version 4 file as given: the block in the
+def v5_file(header: dict, lengths: list, postings: dict, text: bytes, offsets: list) -> bytes:
+    """Pack the parts into a version 5 file as given: the block in the
     header's typecode and the offsets as 'Q', little-endian."""
     head = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     block = [lengths, *postings.values()]
@@ -113,45 +113,53 @@ def v4_file(header: dict, lengths: list, postings: dict, text: bytes, offsets: l
                      text, _packed(offsets, "Q")])
 
 
-def edit_v4(data: bytes, *, header=None, lengths=None, postings=None, df=None,
+def edit_v5(data: bytes, *, header=None, lengths=None, postings=None, df=None,
             text=None, offsets=None) -> bytes:
-    """A copy of a version 4 file with header keys, the document lengths,
+    """A copy of a version 5 file with header keys, the document lengths,
     some terms' postings, the text block or its offsets replaced. Each term's
     df follows its postings unless ``df`` gives it."""
-    fields, old_lengths, all_postings, old_text, old_offsets = v4_parts(data)
+    fields, old_lengths, all_postings, old_text, old_offsets = v5_parts(data)
     fields.update(header or {})
     all_postings.update(postings or {})
     fields["terms"] = list(all_postings)
     fields["df"] = [(df or {}).get(term, len(flat) // 2) for term, flat in all_postings.items()]
-    return v4_file(fields, old_lengths if lengths is None else lengths, all_postings,
+    return v5_file(fields, old_lengths if lengths is None else lengths, all_postings,
                    old_text if text is None else text,
                    old_offsets if offsets is None else offsets)
 
 
 def stored_documents(data: bytes) -> list[dict]:
-    """The documents of a version 4 file as the JSON objects of version 3."""
-    header, _, _, text, offsets = v4_parts(data)
-    untitled = set(header["untitled"])
-    return [{"doc_id": doc_id, "source": source,
-             "title": None if i in untitled else
-             text[offsets[2 * i]:offsets[2 * i + 1]].decode("utf-8"),
+    """The documents of a version 5 file as the JSON objects of version 3."""
+    header, _, _, text, offsets = v5_parts(data)
+    return [{"doc_id": doc_id, "source": "synthetic",
+             "title": text[offsets[2 * i]:offsets[2 * i + 1]].decode("utf-8") or None,
              "body": text[offsets[2 * i + 1]:offsets[2 * i + 2]].decode("utf-8")}
-            for i, (doc_id, source) in enumerate(zip(header["doc_ids"], header["sources"]))]
+            for i, doc_id in enumerate(header["doc_ids"])]
+
+
+def v4_file(data: bytes) -> bytes:
+    """The version 4 file of the index in a version 5 file: the header also
+    lists each document's source and the ordinals of the untitled ones."""
+    header, *parts = v5_parts(data)
+    documents = stored_documents(data)
+    header.update(version=4, sources=[d["source"] for d in documents],
+                  untitled=[i for i, d in enumerate(documents) if d["title"] is None])
+    return v5_file(header, *parts)
 
 
 def v3_file(data: bytes) -> bytes:
-    """The version 3 file of the index in a version 4 file: the documents in
+    """The version 3 file of the index in a version 5 file: the documents in
     the JSON header, no text block."""
-    header, lengths, postings, _, _ = v4_parts(data)
+    header, lengths, postings, _, _ = v5_parts(data)
     fields = {key: header[key] for key in ("format", "typecode", "itemsize", "stopwords",
                                            "stem", "k1", "b", "terms", "df")}
     fields.update(version=3, documents=stored_documents(data))
-    return v4_file(fields, lengths, postings, b"", [])
+    return v5_file(fields, lengths, postings, b"", [])
 
 
 def v2_file(data: bytes) -> bytes:
-    """The version 2 file of the index in a version 4 file: one JSON document."""
-    header, lengths, postings, _, _ = v4_parts(data)
+    """The version 2 file of the index in a version 5 file: one JSON document."""
+    header, lengths, postings, _, _ = v5_parts(data)
     payload = {key: header[key] for key in ("format", "stopwords", "stem", "k1", "b")}
     payload.update(version=2, documents=stored_documents(data), doc_lengths=lengths,
                    postings=postings)
@@ -160,7 +168,7 @@ def v2_file(data: bytes) -> bytes:
 
 
 def truncated_block(data: bytes) -> bytes:
-    """A version 4 file with the last byte of its block cut out, and the text
+    """A version 5 file with the last byte of its block cut out, and the text
     and offsets after it as they were."""
     header = json.loads(data.partition(b"\n")[0])
     block_end = data.index(b"\n") + 1 + (
@@ -273,7 +281,7 @@ class TestBuildIndex:
                 for i, (title, body) in enumerate(fields)]
         index = build_index(docs, stopwords=stopwords, stem=stem)
         assert (index.postings, index.doc_lengths) == oracle_postings(docs, stopwords, stem)
-        header, lengths, postings, _, _ = v4_parts(index_to_bytes(index))
+        header, lengths, postings, _, _ = v5_parts(index_to_bytes(index))
         assert header["typecode"] == narrowest_typecode(lengths, postings)
 
     def test_title_tokens_counted_in_length(self):
@@ -588,11 +596,11 @@ class TestSerialization:
     @given(fields=st.lists(st.tuples(
         st.sampled_from(["d", "Σ", "é ", "\u2028", "\n"]),
         st.none() | st.just("") | mixed_text | st.text(max_size=12) | st.just("ΑΣ\u2028"),
-        st.just("") | mixed_text | st.text(max_size=40) | mixed_text.map(lambda t: t + "Σ"),
-        st.sampled_from(SOURCES)), max_size=6))
+        st.just("") | mixed_text | st.text(max_size=40) | mixed_text.map(lambda t: t + "Σ")),
+        max_size=6))
     def test_documents_round_trip(self, tmp_path_factory, fields):
-        docs = [Document(doc_id=f"{prefix}{i}", title=title, body=body, source=source)
-                for i, (prefix, title, body, source) in enumerate(fields)]
+        docs = [Document(doc_id=f"{prefix}{i}", title=title, body=body)
+                for i, (prefix, title, body) in enumerate(fields)]
         built = build_index(docs)
         path = tmp_path_factory.mktemp("round_trip") / "index.json"
         save_index(built, path)
@@ -608,7 +616,7 @@ class TestSerialization:
         docs = [Document(doc_id=f"d{i}", body=body) for i in range(200)]
         path = tmp_path / "index.json"
         save_index(build_index(docs), path)
-        text_size = len(v4_parts(path.read_bytes())[3])
+        text_size = len(v5_parts(path.read_bytes())[3])
         assert text_size > 4_000_000
         tracemalloc.start()
         try:
@@ -694,12 +702,12 @@ class TestSerialization:
         docs, _, _ = fixture_collection
         assert index_to_bytes(build_index(docs)) == index_to_bytes(build_index(docs))
 
-    # sha256 of the version 4 bytes; a new digest means the on-disk format
+    # sha256 of the version 5 bytes; a new digest means the on-disk format
     # moved, and its version with it
     @pytest.mark.parametrize("options, digest", [
-        ({}, "b206ce4073d823e9dfa12f9b1170ae4116fa5ae53a748019715174c73dcca8be"),
+        ({}, "e71feb53c971f0f8b3f06a91eda3091aeca344d07301c845ba6b8f3fff4aff8c"),
         ({"stopwords": ENGLISH_STOPWORDS, "stem": True, "k1": 0.9, "b": 0.4},
-         "d44c3fdcbf89726c1e137909f567282d9c2acbd79d7dabcb7ba20350f294bfd2"),
+         "c3f48bcc171fa8220796d0f6d36d0e5271c636c0652e37a14a8110f591c989fe"),
     ], ids=["defaults", "stopwords stem k1 b"])
     def test_bytes_are_pinned(self, fixture_collection, options, digest):
         docs, _, _ = fixture_collection
@@ -714,8 +722,8 @@ class TestSerialization:
             index_from_bytes(b"not json at all")
 
     def test_postings_stored_flat(self, toy_docs):
-        header, lengths, postings, _, _ = v4_parts(index_to_bytes(build_index(toy_docs)))
-        assert (header["version"], header["typecode"], header["itemsize"]) == (4, "B", 1)
+        header, lengths, postings, _, _ = v5_parts(index_to_bytes(build_index(toy_docs)))
+        assert (header["version"], header["typecode"], header["itemsize"]) == (5, "B", 1)
         assert header["terms"] == sorted(postings)
         assert lengths == [7, 6, 6]
         assert postings["apples"] == [0, 2, 1, 1]
@@ -724,7 +732,7 @@ class TestSerialization:
     @pytest.mark.parametrize("tokens, typecode", [(255, "B"), (256, "H"), (65536, "I")])
     def test_block_uses_the_narrowest_typecode(self, tokens, typecode):
         data = index_to_bytes(build_index([Document(doc_id="d", body="a " * tokens)]))
-        header, *_ = v4_parts(data)
+        header, *_ = v5_parts(data)
         assert (header["typecode"], header["itemsize"]) == (
             typecode, array.array(typecode).itemsize)
         loaded = index_from_bytes(data)
@@ -736,7 +744,7 @@ class TestSerialization:
     def test_typecode_holds_the_largest_ordinal(self, last_body, typecode):
         docs = [Document(doc_id=f"d{i}", body="a") for i in range(256)]
         data = index_to_bytes(build_index(docs + [Document(doc_id="d256", body=last_body)]))
-        header, lengths, postings, _, _ = v4_parts(data)
+        header, lengths, postings, _, _ = v5_parts(data)
         assert header["typecode"] == narrowest_typecode(lengths, postings) == typecode
         assert index_to_bytes(index_from_bytes(data)) == data
 
@@ -752,49 +760,51 @@ class TestSerialization:
                                                    "rerun `searchsim index`"):
             index_from_bytes(data)
 
+    def test_version_4_rejected_with_rebuild_message(self, toy_docs):
+        data = v4_file(index_to_bytes(build_index(toy_docs)))
+        with pytest.raises(IndexFormatError, match="version 4 is not supported.*"
+                                                   "rerun `searchsim index`"):
+            index_from_bytes(data)
+
     def test_missing_field_rejected(self, toy_docs):
-        header, *parts = v4_parts(index_to_bytes(build_index(toy_docs)))
+        header, *parts = v5_parts(index_to_bytes(build_index(toy_docs)))
         del header["k1"]
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(v4_file(header, *parts))
+            index_from_bytes(v5_file(header, *parts))
 
     # A negative value or a non-integer cannot be written into the unsigned
-    # integer block. Each such case is its nearest version 4 corruption, named
+    # integer block. Each such case is its nearest version 5 corruption, named
     # in its id: the value in a block of the signed or float typecode that
     # holds it ('h', 'i', 'd', 'f'), or -1 wrapped to 0xFF in the 'B' block.
     # The toy text is "red apples" + d1's body + d2's + d3's, and d2 and d3
     # have no title, so its offsets are [0, 10, 36, 36, 68, 68, 104].
     @pytest.mark.parametrize("corrupt", [
-        lambda data: edit_v4(data, header={"typecode": "h", "itemsize": 2},
+        lambda data: edit_v5(data, header={"typecode": "h", "itemsize": 2},
                              postings={"apples": [0, -2, 1, 1]}),
-        lambda data: edit_v4(data, header={"typecode": "i", "itemsize": 4},
+        lambda data: edit_v5(data, header={"typecode": "i", "itemsize": 4},
                              lengths=[7, -4, 6]),
-        lambda data: edit_v4(data, lengths=[7, 6, 6, 5]),
-        lambda data: edit_v4(data, postings={"apples": [0, 2, 1, 1, 2, 1, 0, 1]}),
-        lambda data: edit_v4(data, postings={"apples": [0xFF, 1]}),
-        lambda data: edit_v4(data, postings={"apples": [0, 2, 7, 1]}),
-        lambda data: edit_v4(data, postings={"apples": [0, 2, 1]}, df={"apples": 2}),
-        lambda data: edit_v4(data, header={"typecode": "d", "itemsize": 8},
+        lambda data: edit_v5(data, lengths=[7, 6, 6, 5]),
+        lambda data: edit_v5(data, postings={"apples": [0, 2, 1, 1, 2, 1, 0, 1]}),
+        lambda data: edit_v5(data, postings={"apples": [0xFF, 1]}),
+        lambda data: edit_v5(data, postings={"apples": [0, 2, 7, 1]}),
+        lambda data: edit_v5(data, postings={"apples": [0, 2, 1]}, df={"apples": 2}),
+        lambda data: edit_v5(data, header={"typecode": "d", "itemsize": 8},
                              postings={"apples": [0, 1.5, 1, 1]}),
-        lambda data: edit_v4(data, header={"typecode": "f", "itemsize": 4},
+        lambda data: edit_v5(data, header={"typecode": "f", "itemsize": 4},
                              lengths=[7, 2.5, 6]),
-        lambda data: truncated_block(edit_v4(data, header={"typecode": "H", "itemsize": 2})),
+        lambda data: truncated_block(edit_v5(data, header={"typecode": "H", "itemsize": 2})),
         lambda data: data.replace(b'"typecode":"B"', b'"typecode":"Z"', 1),
-        lambda data: edit_v4(data, header={"itemsize": 2}),
-        lambda data: edit_v4(data, df={"red": True}),
-        lambda data: edit_v4(data, df={"red": 1.0}),
-        lambda data: edit_v4(data, df={"red": -1}),
+        lambda data: edit_v5(data, header={"itemsize": 2}),
+        lambda data: edit_v5(data, df={"red": True}),
+        lambda data: edit_v5(data, df={"red": 1.0}),
+        lambda data: edit_v5(data, df={"red": -1}),
         lambda data: data.replace(b'"terms":["and","apple",', b'"terms":["and","and",', 1),
-        lambda data: edit_v4(data, header={"doc_ids": ["d1", "d2", "d1"]}),
-        lambda data: edit_v4(data, header={"doc_ids": ["d1", " ", "d3"]}),
-        lambda data: edit_v4(data, header={"sources": ["synthetic", "web", "synthetic"]}),
-        lambda data: edit_v4(data, header={"sources": ["synthetic", "synthetic"]}),
-        lambda data: edit_v4(data, header={"untitled": [1, 2, 3]}),
-        lambda data: edit_v4(data, header={"untitled": [0, 1, 2]}),
-        lambda data: edit_v4(data, offsets=[0, 36, 10, 36, 68, 68, 104]),
-        lambda data: edit_v4(data, offsets=[1, 10, 36, 36, 68, 68, 104]),
-        lambda data: edit_v4(data, offsets=[0, 10, 36, 36, 68, 68, 103]),
-        lambda data: edit_v4(data, text=v4_parts(data)[3] + b"!"),
+        lambda data: edit_v5(data, header={"doc_ids": ["d1", "d2", "d1"]}),
+        lambda data: edit_v5(data, header={"doc_ids": ["d1", " ", "d3"]}),
+        lambda data: edit_v5(data, offsets=[0, 36, 10, 36, 68, 68, 104]),
+        lambda data: edit_v5(data, offsets=[1, 10, 36, 36, 68, 68, 104]),
+        lambda data: edit_v5(data, offsets=[0, 10, 36, 36, 68, 68, 103]),
+        lambda data: edit_v5(data, text=v5_parts(data)[3] + b"!"),
         lambda data: data[:data.index(b"\n") + 9],
     ], ids=["negative tf as 'h'", "negative doc length as 'i'",
             "more lengths than documents", "df above n_docs",
@@ -802,9 +812,7 @@ class TestSerialization:
             "odd-length postings", "float tf as 'd'",
             "float doc length as 'f'", "truncated block", "unknown typecode",
             "itemsize unequal to the typecode's", "df true", "df 1.0", "df -1",
-            "term listed twice", "doc_id listed twice", "blank doc_id", "unknown source",
-            "fewer sources than documents", "untitled ordinal out of range",
-            "untitled document with a title", "descending offsets",
+            "term listed twice", "doc_id listed twice", "blank doc_id", "descending offsets",
             "offsets not starting at 0", "offsets ending before the text",
             "text past the last offset", "file shorter than its header says"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
@@ -814,8 +822,8 @@ class TestSerialization:
 
     def test_text_that_is_not_utf8_is_refused_on_first_read(self, toy_docs):
         data = index_to_bytes(build_index(toy_docs))
-        text = v4_parts(data)[3]
-        index = index_from_bytes(edit_v4(data, text=text[:36] + b"\xff" + text[37:]))
+        text = v5_parts(data)[3]
+        index = index_from_bytes(edit_v5(data, text=text[:36] + b"\xff" + text[37:]))
         assert index.document("d1") == toy_docs[0]
         for _ in range(2):
             with pytest.raises(IndexFormatError, match="document 'd2'.* not UTF-8.*"
@@ -825,7 +833,7 @@ class TestSerialization:
     @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2]],
                              ids=["repeated ordinal", "descending ordinal"])
     def test_unordered_ordinals_rejected_on_first_use(self, toy_docs, apples):
-        data = edit_v4(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
+        data = edit_v5(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
         index = index_from_bytes(data)
         assert [r[1] for r in search(index, "oranges").results] == ["d2"]
         for _ in range(2):  # nothing is cached for the refused term

@@ -9,6 +9,7 @@ from searchsim.corpus import QrelSet
 from searchsim.metrics import (
     SCOPE_INSPECTED,
     GainCurve,
+    SdcgCurve,
     aggregate_curves,
     information_gain_curve,
     sdcg_curve,
@@ -199,30 +200,35 @@ class TestOracleEquivalenceAndMonotonicity:
             assert values == sorted(values)
 
 
+def gain_curve(points):
+    return GainCurve(points=points, unjudged_relevant_count=0)
+
+
 class TestAggregation:
     def test_single_curve_is_itself_on_grid(self):
-        curve = [(1.0, 0.0), (2.0, 2.0)]
+        curve = gain_curve([(1.0, 0.0), (2.0, 2.0)])
         assert aggregate_curves([curve]) == [(1.0, 0.0, 1), (2.0, 2.0, 1)]
 
     def test_two_identical_curves(self):
-        curve = [(1.0, 1.0), (3.0, 4.0)]
+        curve = gain_curve([(1.0, 1.0), (3.0, 4.0)])
         assert aggregate_curves([curve, curve]) == [(1.0, 1.0, 2), (3.0, 4.0, 2)]
 
     def test_hand_mean(self):
-        a = [(1.0, 0.0), (2.0, 2.0)]
-        b = [(1.0, 2.0), (2.0, 2.0)]
-        assert aggregate_curves([a, b], x_grid=[1.0, 2.0]) == [
-            (1.0, 1.0, 2), (2.0, 2.0, 2)]
+        a = gain_curve([(1.0, 0.0), (2.0, 2.0)])
+        b = gain_curve([(1.0, 2.0), (2.0, 2.0)])
+        assert aggregate_curves([a, b]) == [(1.0, 1.0, 2), (2.0, 2.0, 2)]
 
     def test_step_interpolation_carries_last_value(self):
-        a = [(1.0, 1.0)]
-        b = [(2.0, 3.0)]
-        rows = aggregate_curves([a, b], x_grid=[0.5, 1.0, 2.0, 9.0])
-        assert rows == [(0.5, 0.0, 2), (1.0, 0.5, 2), (2.0, 2.0, 2), (9.0, 2.0, 2)]
+        a = gain_curve([(1.0, 1.0)])
+        b = gain_curve([(2.0, 3.0), (9.0, 5.0)])
+        # a carries 1.0 past its last point; b is 0 before its first
+        assert aggregate_curves([a, b]) == [(1.0, 0.5, 2), (2.0, 2.0, 2), (9.0, 3.0, 2)]
 
     def test_accepts_curve_objects(self):
-        curve = GainCurve(points=[(1.0, 1.0)], unjudged_relevant_count=0)
-        assert aggregate_curves([curve]) == [(1.0, 1.0, 1)]
+        gain = GainCurve(points=[(1.0, 1.0)], unjudged_relevant_count=0)
+        sdcg = SdcgCurve(points=[(1, 2.0), (2, 3.0)])
+        assert aggregate_curves([gain]) == [(1.0, 1.0, 1)]
+        assert aggregate_curves([sdcg, SdcgCurve(points=[])]) == [(1, 1.0, 2), (2, 1.5, 2)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -238,14 +244,12 @@ class TestAggregation:
                             for _ in range(rng.randrange(0, 10)))
                 curves.append([(x, rng.choice([0.0, 0.1, 1.0 / 3.0, 2.0, 7.25])) for x in xs])
             grid = sorted({x for points in curves for x, _ in points})
-            assert aggregate_curves(curves) == oracle_mean_curve(curves, grid)
-            explicit = [rng.uniform(-1.0, 11.0) for _ in range(5)] + [2.5, 10.0]
-            assert aggregate_curves(curves, x_grid=explicit) == \
-                oracle_mean_curve(curves, explicit)
+            assert aggregate_curves([gain_curve(points) for points in curves]) == \
+                oracle_mean_curve(curves, grid)
 
     def test_decreasing_x_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_curves([[(2.0, 1.0), (1.0, 2.0)]])
+            aggregate_curves([gain_curve([(2.0, 1.0), (1.0, 2.0)])])
 
     def test_step_value_before_first_point_is_zero(self):
         assert step_value([(2.0, 5.0)], 1.0) == 0.0

@@ -596,6 +596,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             CostModel(query_cost=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_cost_model_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="judgment_cost must be a finite number"):
+            CostModel(judgment_cost=value)
+
     def test_unknown_stop_rule(self):
         with pytest.raises(ValueError):
             SnippetStopRule("coin_flip", 1)
@@ -850,6 +855,12 @@ class TestLogFiles:
         assert len(session_log_from_jsonl(log_with()).interactions) == 1
         with pytest.raises(LogFormatError, match=f"line 2: {field} must be"):
             session_log_from_jsonl(log_with(**{field: value}))
+
+    def test_interaction_of_an_unknown_kind_is_refused(self):
+        header = session_log_to_jsonl(make_log([])).decode("utf-8").strip()
+        line = '{"record":"interaction","seq":0,"kind":"Bogus","cost":1.0,"payload":{}}'
+        with pytest.raises(LogFormatError, match="line 2: unknown interaction kind 'Bogus'"):
+            session_log_from_jsonl(f"{header}\n{line}\n".encode("utf-8"))
 
     # the header of an old log that once loaded, with initial_queries ['a', 'b', 'c']
     FOUND_HEADER = ('{"record":"session","topic_id":5,"user_kind":"RND","seed":"x",'
