@@ -149,6 +149,8 @@ class CampaignConfig:
             raise ConfigError(f"index.b must be a number in [0, 1], got {b}")
         campaign_seed = _convert(raw.get("campaign_seed", 0), "campaign_seed", int)
         anomaly_threshold = _convert(raw.get("anomaly_threshold", 0), "anomaly_threshold", int)
+        if anomaly_threshold < 0:
+            raise ConfigError(f"anomaly_threshold must be an integer >= 0, got {anomaly_threshold}")
         llm_values = _given(BackendConfig, llm_opts)
         for name, convert in (("timeout", float), ("retries", int)):
             if name in llm_values:

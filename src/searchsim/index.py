@@ -106,6 +106,10 @@ class InvertedIndex:
     _norms: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be a finite number >= 0, got {self.k1!r}")
+        if not 0 <= self.b <= 1:
+            raise ValueError(f"b must be a number in [0, 1], got {self.b!r}")
         if self.doc_ids is None:
             self.doc_ids = [d.doc_id for d in self.documents]
         self.n_docs = len(self.doc_lengths)

@@ -323,30 +323,6 @@ def _check_topic_ids(topics: list[Topic]) -> None:
         owners[stem] = topic.topic_id
 
 
-def _run_wave(run, jobs: list[tuple], workers: int) -> list[SessionLog]:
-    """``run(*job)`` for every job, in job order: inline for one worker, else pooled.
-
-    On the pool, a failed session stops every session that has not started yet;
-    the first failure in job order is raised.
-    """
-    if workers <= 1:
-        return [run(*job) for job in jobs]
-    failed = threading.Event()
-
-    def _guarded(job: tuple) -> SessionLog | None:
-        if failed.is_set():
-            return None
-        try:
-            return run(*job)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_guarded, job) for job in jobs]
-    return [future.result() for future in futures]
-
-
 def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedIndex,
                  qrels: QrelSet, *,
                  policy: SessionPolicy | None = None,
@@ -357,9 +333,12 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
                  workers: int = 1) -> list[SessionLog]:
     """Run every (topic, kind) session; topics outer, kinds inner.
 
-    Per-session seeds derive from (campaign_seed, topic_id, kind). RND_STAR
-    sessions run after their topic's FTTC session so they can replay its
-    query list; the returned order is deterministic regardless of workers.
+    Per-session seeds derive from (campaign_seed, topic_id, kind). One queue
+    of ``workers`` threads runs the sessions topic by topic, RND_STAR's last:
+    each waits for its topic's FTTC session, already started by then, and
+    replays its query list. The returned order is deterministic regardless of
+    workers. A failed session or an interrupt stops every session that has
+    not started yet; the first failure in returned order is raised.
     The sessions share one ``ReplyMemo`` over ``backend``: the kinds' prompts
     coincide until feedback tells them apart, and the backend is asked each
     temperature-0 question once per campaign.
@@ -368,26 +347,38 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     if not topics:
         raise CampaignError("at least one topic is required")
     _check_topic_ids(topics)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise CampaignError(f"workers must be an integer >= 1, got {workers!r}")
     backend = ReplyMemo(backend)
+    stop = threading.Event()
+    futures = {}
 
-    def _run(topic: Topic, kind: UserKind, preset: list[str] | None = None) -> SessionLog:
-        return run_session(topic, kind, index, qrels, policy=policy,
-                           cost_model=cost_model, backend=backend,
-                           rng_seed=derive_session_seed(campaign_seed, topic.topic_id, kind),
-                           templates=templates, preset_queries=preset)
+    def _run(topic: Topic, kind: UserKind) -> SessionLog | None:
+        try:
+            fttc = (futures[topic.topic_id, UserKind.FTTC].result()
+                    if kind is UserKind.RND_STAR else None)
+            if stop.is_set():  # checked after the wait: a stopped FTTC session returns None
+                return None
+            # a degraded FTTC run leaves RND_STAR nothing to replay: it exhausts at once
+            return run_session(topic, kind, index, qrels, policy=policy,
+                               cost_model=cost_model, backend=backend,
+                               rng_seed=derive_session_seed(campaign_seed, topic.topic_id, kind),
+                               templates=templates, preset_queries=fttc and fttc.initial_queries)
+        except BaseException:
+            stop.set()
+            raise
 
-    first_wave = [(t, k) for t in topics for k in kinds if k is not UserKind.RND_STAR]
-    results = {(t.topic_id, k): log
-               for (t, k), log in zip(first_wave, _run_wave(_run, first_wave, workers))}
-    if UserKind.RND_STAR in kinds:
-        # a degraded FTTC run leaves nothing to replay; RND_STAR then
-        # exhausts immediately instead of failing the campaign
-        second_wave = [(t, UserKind.RND_STAR,
-                        list(results[(t.topic_id, UserKind.FTTC)].initial_queries))
-                       for t in topics]
-        for t, log in zip(topics, _run_wave(_run, second_wave, workers)):
-            results[(t.topic_id, UserKind.RND_STAR)] = log
-    return [results[(t.topic_id, k)] for t in topics for k in kinds]
+    try:
+        # the main thread waits in the pool's shutdown, where an interrupt
+        # reaches it; Future.result() would hold it until the session ends
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for topic, kind in sorted(((t, k) for t in topics for k in kinds),
+                                      key=lambda job: job[1] is UserKind.RND_STAR):
+                futures[topic.topic_id, kind] = pool.submit(_run, topic, kind)
+    except BaseException:
+        stop.set()
+        raise
+    return [futures[t.topic_id, k].result() for t in topics for k in kinds]
 
 
 # --- log serialization ------------------------------------------------------------

@@ -243,6 +243,7 @@ class TestCmdSimulate:
         ("index.b", "x"),
         ("campaign_seed", "x"),
         ("anomaly_threshold", "many"),
+        ("anomaly_threshold", -1),
         ("index.stem", "false"),
         ("index.stopwords", "no"),
         ("output_dir", 5),
@@ -307,6 +308,15 @@ class TestCmdSimulate:
         config_path = write_config(tmp_path, users=("RND_STAR",))
         assert main(["simulate", "--config", str(config_path)]) == 1
         assert "FTTC" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_1_fail_validation(self, tmp_path, capsys, workers):
+        config_path = write_config(tmp_path)
+        assert main(["index", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config_path), "--workers", workers]) == 1
+        assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "logs").exists()
 
     def test_anomalies_over_threshold_exit_code(self, tmp_path):
         replies = tmp_path / "replies.tsv"

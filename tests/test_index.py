@@ -820,6 +820,19 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="malformed"):
             index_from_bytes(data)
 
+    # k1=NaN would score every document nan, and b=7.0 re-rank them
+    @pytest.mark.parametrize("name, value", [
+        ("k1", float("nan")), ("k1", float("inf")), ("k1", -1.0),
+        ("b", float("nan")), ("b", 7.0), ("b", -0.5),
+    ], ids=["k1_nan", "k1_inf", "k1_negative", "b_nan", "b_7", "b_negative"])
+    def test_bad_bm25_parameter_refused_at_build_and_load(self, toy_docs, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_index(toy_docs, **{name: value})
+        data = edit_v5(index_to_bytes(build_index(toy_docs)), header={name: value})
+        with pytest.raises(IndexFormatError, match=f"malformed.*{name} must be.*"
+                                                   "rerun `searchsim index`"):
+            index_from_bytes(data)
+
     def test_text_that_is_not_utf8_is_refused_on_first_read(self, toy_docs):
         data = index_to_bytes(build_index(toy_docs))
         text = v5_parts(data)[3]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import signal
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -670,13 +674,82 @@ class TestCampaign:
 
     def test_workers_do_not_change_output(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
-        kinds = [UserKind.RND, UserKind.FTTC, UserKind.RND_STAR]
-        serial = run_campaign(topics, kinds, index, qrels, policy=policy,
-                              backend=ScriptedBackend())
-        parallel = run_campaign(topics, kinds, index, qrels, policy=policy,
-                                backend=ScriptedBackend(), workers=4)
-        assert ([session_log_to_jsonl(log) for log in serial]
-                == [session_log_to_jsonl(log) for log in parallel])
+        # RND_STAR listed first is still queued after every FTTC session
+        for kinds in ([UserKind.RND, UserKind.FTTC, UserKind.RND_STAR],
+                      [UserKind.RND_STAR, UserKind.RND, UserKind.FTTC]):
+            serial = run_campaign(topics, kinds, index, qrels, policy=policy,
+                                  backend=ScriptedBackend())
+            for workers in (2, 4):
+                parallel = run_campaign(topics, kinds, index, qrels, policy=policy,
+                                        backend=ScriptedBackend(), workers=workers)
+                assert ([session_log_to_jsonl(log) for log in serial]
+                        == [session_log_to_jsonl(log) for log in parallel]), (kinds, workers)
+
+    def test_rnd_star_runs_without_waiting_for_other_topics(self, campaign_setup,
+                                                             monkeypatch):
+        topics, index, qrels, policy = campaign_setup
+        real_run_session = searchsim.session.run_session
+        first_star_ended = threading.Event()
+        held_saw_it = []
+
+        def run_session(topic, kind, *args, **kwargs):
+            if (topic, kind) == (topics[1], UserKind.FTTC):
+                # held until the first topic's RND_STAR session has ended
+                held_saw_it.append(first_star_ended.wait(timeout=5))
+            log = real_run_session(topic, kind, *args, **kwargs)
+            if (topic, kind) == (topics[0], UserKind.RND_STAR):
+                first_star_ended.set()
+            return log
+
+        monkeypatch.setattr(searchsim.session, "run_session", run_session)
+        logs = run_campaign(topics, [UserKind.FTTC, UserKind.RND_STAR], index, qrels,
+                            policy=policy, backend=ScriptedBackend(), workers=2)
+        assert held_saw_it == [True]
+        assert logs[3].initial_queries == logs[2].initial_queries
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_starts_no_further_session(self, fixture_collection, monkeypatch,
+                                                 workers):
+        docs, topics, qrels = fixture_collection
+        real_run_session = searchsim.session.run_session
+        started = []
+        ended = threading.Semaphore(0)
+        interrupted = threading.Event()
+
+        def run_session(*args, **kwargs):
+            started.append(args[:2])
+            try:
+                return real_run_session(*args, **kwargs)
+            finally:
+                ended.release()
+
+        class Interrupting:
+            calls = itertools.count(1)  # next() is atomic across threads
+            inner = ScriptedBackend()
+
+            def complete(self, request):
+                call = next(self.calls)
+                if call == 10:
+                    time.sleep(0.05)  # a backend's latency: every session is queued by now
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                if call >= 10:  # hold the running sessions until it is taken
+                    interrupted.wait(timeout=5)
+                return self.inner.complete(request)
+
+        monkeypatch.setattr(searchsim.session, "run_session", run_session)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(topics, [UserKind.TTT, UserKind.FTTC, UserKind.CRF],
+                             build_index(docs), qrels, backend=Interrupting(),
+                             workers=workers)
+        finally:
+            interrupted.set()
+            # wait for the workers' sessions to end: on CPython 3.11, join()
+            # returns at once for the thread whose join the interrupt broke
+            for _ in started:
+                assert ended.acquire(timeout=10)
+        assert len(topics) == 3  # 9 sessions queued
+        assert 1 <= len(started) <= workers
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_each_temperature_0_question_is_asked_once_and_logs_match_solo_runs(
