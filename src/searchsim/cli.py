@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="override the output directory")
     p_sim.add_argument("--backend", choices=[BACKEND_SCRIPTED, BACKEND_HTTP])
     p_sim.add_argument("--seed", type=int, help="override the campaign seed")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="most backend requests in flight at once (default 1); "
+                       "the sessions run on twice as many threads")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("evaluate", help="compute curves from session logs")

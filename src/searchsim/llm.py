@@ -1,6 +1,6 @@
 """Chat-completion backends: a live HTTP client and a deterministic scripted stand-in,
 plus ``ReplyMemo``, which a campaign's sessions share to ask each temperature-0
-question once.
+question once and to bound the requests in flight.
 
 The scripted backend is a pure function of (messages, seed): it first tries a
 reply table (keys matched as substrings of the rendered prompt), then falls
@@ -8,6 +8,7 @@ back to a hash-driven synthesizer shaped by the request tag.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -37,6 +38,10 @@ TAG_SUMMARIZATION = "summarization"
 
 class BackendError(RuntimeError):
     """Transport failure after retries, or a malformed completion body."""
+
+
+class RequestRefused(BackendError):
+    """A request not sent because its campaign is stopping."""
 
 
 @dataclass(frozen=True)
@@ -236,12 +241,39 @@ class ReplyMemo:
     one is in flight waits for that reply instead of sending its own, so each
     question reaches the backend once however the callers interleave. A
     failure is never kept: its waiters and every later caller send their own.
+
+    With ``slots``, at most that many requests are forwarded at once. A
+    forwarded request holds its slot only while the inner backend answers,
+    never while it waits for another caller's reply. With ``stop``, a request
+    that would be forwarded once the event is set is refused with
+    ``RequestRefused``; a forwarded request that fails other than with a
+    ``BackendError`` sets the event before it gives its slot back, and the
+    first such failure is kept in ``failure``.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, slots: int | None = None,
+                 stop: threading.Event | None = None):
         self.inner = inner
+        self.failure: BaseException | None = None
+        self._slots = threading.BoundedSemaphore(slots) if slots else contextlib.nullcontext()
+        self._stop = stop
         self._lock = threading.Lock()
         self._replies: dict[bytes, ChatResponse | _InFlight] = {}
+
+    def _forward(self, request: ChatRequest) -> ChatResponse:
+        with self._slots:
+            if self._stop is not None and self._stop.is_set():
+                raise RequestRefused("not sent: the campaign is stopping")
+            try:
+                return self.inner.complete(request)
+            except BackendError:
+                raise
+            except BaseException as exc:
+                with self._lock:
+                    self.failure = self.failure or exc
+                if self._stop is not None:
+                    self._stop.set()  # before the slot is given back: no request starts unseen
+                raise
 
     @staticmethod
     def _key(request: ChatRequest) -> bytes:
@@ -252,7 +284,7 @@ class ReplyMemo:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if request.temperature != 0:
-            return self.inner.complete(request)
+            return self._forward(request)
         key = self._key(request)
         with self._lock:
             entry = self._replies.get(key)
@@ -260,7 +292,7 @@ class ReplyMemo:
                 flight = self._replies[key] = _InFlight()
         if entry is None:
             try:
-                flight.response = self.inner.complete(request)
+                flight.response = self._forward(request)
             except BaseException:
                 with self._lock:
                     del self._replies[key]
@@ -274,7 +306,7 @@ class ReplyMemo:
         if isinstance(entry, _InFlight):
             entry.done.wait()
             entry = entry.response
-        return entry if entry is not None else self.inner.complete(request)
+        return entry if entry is not None else self._forward(request)
 
 
 # --- scripted backend ----------------------------------------------------------

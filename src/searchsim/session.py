@@ -333,15 +333,21 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
                  workers: int = 1) -> list[SessionLog]:
     """Run every (topic, kind) session; topics outer, kinds inner.
 
-    Per-session seeds derive from (campaign_seed, topic_id, kind). One queue
-    of ``workers`` threads runs the sessions topic by topic, RND_STAR's last:
-    each waits for its topic's FTTC session, already started by then, and
-    replays its query list. The returned order is deterministic regardless of
-    workers. A failed session or an interrupt stops every session that has
-    not started yet; the first failure in returned order is raised.
-    The sessions share one ``ReplyMemo`` over ``backend``: the kinds' prompts
-    coincide until feedback tells them apart, and the backend is asked each
-    temperature-0 question once per campaign.
+    Per-session seeds derive from (campaign_seed, topic_id, kind). The
+    sessions share one ``ReplyMemo`` over ``backend``, which asks each
+    temperature-0 question once per campaign (the kinds' prompts coincide
+    until feedback tells them apart) and keeps at most ``workers`` requests
+    in flight. One queue of ``2 * workers`` threads runs the sessions, so
+    that another session has its request ready whenever a slot frees. The
+    queue goes topic by topic, RND_STAR's last: each waits for its topic's
+    FTTC session, already started by then, and replays its query list. The
+    returned order is deterministic regardless of workers.
+
+    A failed session, a backend call that fails other than with a
+    ``BackendError``, or an interrupt stops the campaign: no session that
+    has not started runs, and a running session's next request is refused,
+    which ends it. The first failure in returned order is raised, or the
+    interrupt.
     """
     kinds = validate_campaign_kinds(list(kinds))
     if not topics:
@@ -349,8 +355,8 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     _check_topic_ids(topics)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise CampaignError(f"workers must be an integer >= 1, got {workers!r}")
-    backend = ReplyMemo(backend)
     stop = threading.Event()
+    backend = ReplyMemo(backend, slots=workers, stop=stop)
     futures = {}
 
     def _run(topic: Topic, kind: UserKind) -> SessionLog | None:
@@ -371,14 +377,17 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
     try:
         # the main thread waits in the pool's shutdown, where an interrupt
         # reaches it; Future.result() would hold it until the session ends
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=2 * workers) as pool:
             for topic, kind in sorted(((t, k) for t in topics for k in kinds),
                                       key=lambda job: job[1] is UserKind.RND_STAR):
                 futures[topic.topic_id, kind] = pool.submit(_run, topic, kind)
     except BaseException:
         stop.set()
         raise
-    return [futures[t.topic_id, k].result() for t in topics for k in kinds]
+    logs = [futures[t.topic_id, k].result() for t in topics for k in kinds]
+    if backend.failure is not None:  # a session caught it, e.g. as a failed summary
+        raise backend.failure
+    return logs
 
 
 # --- log serialization ------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Deterministic backends for the tests, and LLM users over them.
 
 CapturingBackend records every request it forwards, which makes prompt
-content assertable. QrelsOracleBackend answers relevance prompts straight
-from the qrels (recognizing the document by a line of its body text) and
-writes queries from the detected topic's own vocabulary, so simulated users
-driven by it behave like well-informed searchers on a known collection.
+content assertable. SlowBackend answers late, counting its calls and the
+most it answered at once. QrelsOracleBackend answers relevance prompts
+straight from the qrels (recognizing the document by a line of its body
+text) and writes queries from the detected topic's own vocabulary, so
+simulated users driven by it behave like well-informed searchers on a known
+collection.
 """
 from __future__ import annotations
 
 import hashlib
+import threading
+import time
 
 from searchsim.agents import KnowledgeState, LLMUser, UserKind, default_templates
 from searchsim.corpus import Document, QrelSet, Topic
@@ -17,6 +21,7 @@ from searchsim.llm import (
     TAG_FOLLOWUP_QUERY,
     TAG_QUERY_GENERATION,
     TAG_RELEVANCE_JUDGMENT,
+    BackendError,
     ChatRequest,
     ChatResponse,
     ScriptedBackend,
@@ -44,6 +49,31 @@ class CapturingBackend:
 
     def prompts(self, tag: str | None = None) -> list[str]:
         return [r.prompt_text() for r in self.requests if tag is None or r.tag == tag]
+
+
+class SlowBackend:
+    """Answers as the scripted backend does after ``delay`` seconds, counting
+    its calls and the most it answered at once; the calls numbered in
+    ``fail_on`` raise ``BackendError``."""
+
+    def __init__(self, delay=0.0, fail_on=()):
+        self.delay = delay
+        self.fail_on = set(fail_on)
+        self.calls = self.most = self._active = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+            self._active += 1
+            self.most = max(self.most, self._active)
+        time.sleep(self.delay)
+        with self._lock:
+            self._active -= 1
+        if call in self.fail_on:
+            raise BackendError(f"outage on call {call}")
+        return ScriptedBackend().complete(request)
 
 
 class QrelsOracleBackend:

@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import threading
+import time
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -16,6 +19,7 @@ from searchsim.session import SessionLog, read_session_log, write_session_log
 
 from test_config import BAD_SESSION_VALUES
 from test_index import edit_v5, v2_file, v5_parts
+from test_llm import _MockChatHandler
 
 
 def write_config(tmp_path, *, users=("RND", "FTTC"), campaign_seed=0,
@@ -347,6 +351,44 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(config_path), "--workers", "4"]) == 0
         for name, content in snapshot.items():
             assert (logs_dir / name).read_bytes() == content
+
+    def test_http_workers_bound_the_connections_open_at_once(self, tmp_path):
+        class Counting(_MockChatHandler):
+            """The mock endpoint, 20 ms slower, counting its open connections."""
+            behaviors, requests_seen, headers_seen, paths_seen = [], [], [], []
+            lock = threading.Lock()
+            open_now = most = 0
+
+            def handle(self):
+                cls = type(self)
+                with cls.lock:
+                    cls.open_now += 1
+                    cls.most = max(cls.most, cls.open_now)
+                try:
+                    time.sleep(0.02)
+                    super().handle()
+                finally:
+                    with cls.lock:
+                        cls.open_now -= 1
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Counting)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            config_path = write_config(tmp_path, users=("TTT", "FTTC", "PRF", "CRF"),
+                                       anomaly_threshold=10**6)
+            config = json.loads(config_path.read_text())
+            config["llm"] = {"backend": "http", "model": "mock-model", "retries": 0,
+                             "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat"}
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert main(["index", "--config", str(config_path)]) == 0
+            assert main(["simulate", "--config", str(config_path), "--workers", "2"]) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert len(Counting.requests_seen) > 12  # every session asked
+        assert Counting.most == 2
 
 
 class TestCmdEvaluate:

@@ -24,12 +24,13 @@ from searchsim.llm import (
     ChatRequest,
     HttpBackend,
     ReplyMemo,
+    RequestRefused,
     ScriptedBackend,
     default_params,
     load_reply_table,
     probe_endpoint,
 )
-from backends import CapturingBackend
+from backends import CapturingBackend, SlowBackend
 
 
 def request_of(text, tag=None, seed=0, temperature=0.0):
@@ -139,26 +140,6 @@ class TestReplyTableFile:
             load_reply_table(path)
 
 
-class _SlowBackend:
-    """Answers as the scripted backend does after ``delay`` seconds, counting
-    its calls; the calls numbered in ``fail_on`` raise ``BackendError``."""
-
-    def __init__(self, delay=0.0, fail_on=()):
-        self.delay = delay
-        self.fail_on = set(fail_on)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.calls += 1
-            call = self.calls
-        time.sleep(self.delay)
-        if call in self.fail_on:
-            raise BackendError(f"outage on call {call}")
-        return ScriptedBackend().complete(request)
-
-
 def ask_together(backend, request, callers=2):
     """Each caller's reply text, or the BackendError it got; all start at once."""
     barrier = threading.Barrier(callers)
@@ -186,7 +167,7 @@ class TestReplyMemo:
                         tag=TAG_RELEVANCE_JUDGMENT)
 
     def test_a_question_asked_twice_at_once_reaches_the_backend_once(self):
-        inner = _SlowBackend(delay=0.2)
+        inner = SlowBackend(delay=0.2)
         texts = ask_together(ReplyMemo(inner), self.JUDGE)
         assert inner.calls == 1
         assert texts == [ScriptedBackend().complete(self.JUDGE).text] * 2
@@ -218,7 +199,7 @@ class TestReplyMemo:
         assert all(answers[seed] == dict(enumerate(expected)) for seed in range(8))
 
     def test_temperature_one_is_always_forwarded(self):
-        inner = _SlowBackend()
+        inner = SlowBackend()
         memo = ReplyMemo(inner)
         hot = replace(self.JUDGE, temperature=1.0, tag=TAG_QUERY_GENERATION)
         memo.complete(hot)
@@ -226,7 +207,7 @@ class TestReplyMemo:
         assert inner.calls == 2
 
     def test_requests_that_differ_in_any_part_are_all_forwarded(self):
-        inner = _SlowBackend()
+        inner = SlowBackend()
         memo = ReplyMemo(inner)
         system, user = self.JUDGE.messages
         requests = [self.JUDGE,
@@ -240,7 +221,7 @@ class TestReplyMemo:
         assert inner.calls == len(requests) + 1  # only temperature 0.5 goes again
 
     def test_a_failure_is_not_remembered(self):
-        inner = _SlowBackend(delay=0.2, fail_on={1})
+        inner = SlowBackend(delay=0.2, fail_on={1})
         memo = ReplyMemo(inner)
         expected = ScriptedBackend().complete(self.JUDGE).text
         first, waiter = sorted(ask_together(memo, self.JUDGE), key=lambda r: r == expected)
@@ -250,6 +231,63 @@ class TestReplyMemo:
         assert inner.calls == 3  # and so did the next caller
         assert memo.complete(self.JUDGE).text == expected
         assert inner.calls == 3  # whose reply is kept
+
+    def test_a_request_waiting_for_another_holds_no_slot(self):
+        inner = SlowBackend(delay=0.3)
+        memo = ReplyMemo(inner, slots=2)
+        first = threading.Thread(target=memo.complete, args=(self.JUDGE,))
+        waiter = threading.Thread(target=memo.complete, args=(self.JUDGE,))
+        first.start()
+        time.sleep(0.05)
+        waiter.start()  # waits for the first caller's reply
+        time.sleep(0.05)
+        memo.complete(request_of("another question", tag=TAG_RELEVANCE_JUDGMENT))
+        for thread in (first, waiter):
+            thread.join(timeout=10)
+        assert inner.calls == 2
+        assert inner.most == 2  # the other question took the second slot at once
+
+    def test_slots_bound_the_requests_forwarded_at_once(self):
+        inner = SlowBackend(delay=0.02)
+        memo = ReplyMemo(inner, slots=2)
+        hot = replace(self.JUDGE, temperature=1.0, tag=TAG_QUERY_GENERATION)
+        assert ask_together(memo, hot, callers=6) == [ScriptedBackend().complete(hot).text] * 6
+        assert (inner.calls, inner.most) == (6, 2)
+
+    def test_once_stopped_a_request_is_refused_unsent_and_a_kept_reply_still_served(self):
+        inner = SlowBackend()
+        stop = threading.Event()
+        memo = ReplyMemo(inner, slots=1, stop=stop)
+        kept = memo.complete(self.JUDGE).text
+        stop.set()
+        with pytest.raises(RequestRefused, match="the campaign is stopping"):
+            memo.complete(request_of("another question", tag=TAG_RELEVANCE_JUDGMENT))
+        with pytest.raises(RequestRefused):
+            memo.complete(replace(self.JUDGE, temperature=1.0))
+        assert memo.complete(self.JUDGE).text == kept
+        assert inner.calls == 1
+        assert issubclass(RequestRefused, BackendError)  # a session ends on it
+
+    def test_a_failure_other_than_a_backend_error_stops_and_is_kept(self):
+        class Broken:
+            def complete(self, request):
+                raise RuntimeError("a bug")
+
+        stop = threading.Event()
+        memo = ReplyMemo(Broken(), slots=1, stop=stop)
+        with pytest.raises(RuntimeError, match="a bug"):
+            memo.complete(self.JUDGE)
+        assert stop.is_set() and str(memo.failure) == "a bug"
+        with pytest.raises(RequestRefused):
+            memo.complete(self.JUDGE)
+
+    def test_a_backend_error_neither_stops_nor_is_kept(self):
+        stop = threading.Event()
+        memo = ReplyMemo(SlowBackend(fail_on={1}), slots=1, stop=stop)
+        with pytest.raises(BackendError):
+            memo.complete(self.JUDGE)
+        assert not stop.is_set() and memo.failure is None
+        assert memo.complete(self.JUDGE).text == ScriptedBackend().complete(self.JUDGE).text
 
 
 class _MockChatHandler(BaseHTTPRequestHandler):

@@ -22,7 +22,7 @@ from searchsim.config import CampaignConfig
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import InvertedIndex, build_index
-from searchsim.llm import BackendError, ScriptedBackend
+from searchsim.llm import TAG_SUMMARIZATION, BackendError, ScriptedBackend
 from searchsim.metrics import information_gain_curve
 from searchsim.session import (
     ANOMALY,
@@ -53,7 +53,7 @@ from searchsim.session import (
     write_campaign_manifest,
     write_session_log,
 )
-from backends import CapturingBackend
+from backends import CapturingBackend, SlowBackend
 from oracles import make_log
 
 # Reply-table keys anchored on fixed phrases of the default templates.
@@ -712,12 +712,14 @@ class TestCampaign:
                                                  workers):
         docs, topics, qrels = fixture_collection
         real_run_session = searchsim.session.run_session
-        started = []
+        started = []  # per session started: whether the SIGINT had been sent
         ended = threading.Semaphore(0)
-        interrupted = threading.Event()
+        sent = threading.Event()
+        taken = threading.Event()
+        late_calls = []  # backend calls begun once the interrupt was taken
 
         def run_session(*args, **kwargs):
-            started.append(args[:2])
+            started.append(sent.is_set())
             try:
                 return real_run_session(*args, **kwargs)
             finally:
@@ -728,12 +730,15 @@ class TestCampaign:
             inner = ScriptedBackend()
 
             def complete(self, request):
+                if taken.is_set():
+                    late_calls.append(request)
                 call = next(self.calls)
-                if call == 10:
-                    time.sleep(0.05)  # a backend's latency: every session is queued by now
+                if call == 5:  # the first session (TTT, 10 requests) is half done
+                    time.sleep(0.05)  # a backend's latency: every thread runs a session by now
+                    sent.set()
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                if call >= 10:  # hold the running sessions until it is taken
-                    interrupted.wait(timeout=5)
+                if call >= 5:  # hold every request slot until the interrupt is taken
+                    taken.wait(timeout=5)
                 return self.inner.complete(request)
 
         monkeypatch.setattr(searchsim.session, "run_session", run_session)
@@ -743,13 +748,31 @@ class TestCampaign:
                              build_index(docs), qrels, backend=Interrupting(),
                              workers=workers)
         finally:
-            interrupted.set()
+            taken.set()
             # wait for the workers' sessions to end: on CPython 3.11, join()
             # returns at once for the thread whose join the interrupt broke
             for _ in started:
                 assert ended.acquire(timeout=10)
         assert len(topics) == 3  # 9 sessions queued
-        assert 1 <= len(started) <= workers
+        assert 1 <= len(started) <= 2 * workers  # the queue's threads
+        assert not any(started)  # no session began after the SIGINT
+        assert late_calls == []  # the running sessions ended at their next request
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_requests_in_flight_reach_workers_and_never_exceed_it(self, campaign_setup,
+                                                                  workers):
+        topics, index, qrels, policy = campaign_setup
+        kinds = [UserKind.TTT, UserKind.FTTC, UserKind.PRF, UserKind.CRF]
+        assert len(topics) * len(kinds) >= 2 * workers  # a session per thread
+
+        serial = run_campaign(topics, kinds, index, qrels, policy=policy,
+                              backend=ScriptedBackend())
+        slow = SlowBackend(delay=0.02)
+        logs = run_campaign(topics, kinds, index, qrels, policy=policy, backend=slow,
+                            workers=workers)
+        assert slow.most == workers
+        assert ([session_log_to_jsonl(log) for log in logs]
+                == [session_log_to_jsonl(log) for log in serial])
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_each_temperature_0_question_is_asked_once_and_logs_match_solo_runs(
@@ -843,6 +866,23 @@ class TestCampaign:
         assert len(topics) == 3  # 9 sessions queued
         # each session fails on its first request; only those already running reach it
         assert 1 <= len(calls) <= workers
+
+    def test_a_failure_that_a_session_catches_still_fails_the_campaign(self, campaign_setup):
+        topics, index, qrels, policy = campaign_setup
+
+        class BrokenSummaries:
+            inner = ScriptedBackend()
+
+            def complete(self, request):
+                if request.tag == TAG_SUMMARIZATION:
+                    raise RuntimeError("not a backend failure: a bug")
+                return self.inner.complete(request)
+
+        # the session logs a failed summary as an anomaly and goes on; its next
+        # request is refused, and the campaign raises the bug, not the refusal
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_campaign(topics, [UserKind.CRF], index, qrels, policy=policy,
+                         backend=BrokenSummaries(), workers=2)
 
     def test_failed_fttc_degrades_rnd_star_without_crashing(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
