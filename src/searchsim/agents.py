@@ -37,6 +37,7 @@ from .llm import (
     TAG_QUERY_GENERATION,
     TAG_RELEVANCE_JUDGMENT,
     TAG_SUMMARIZATION,
+    BackendError,
     ChatMessage,
     ChatRequest,
     default_params,
@@ -391,8 +392,9 @@ def update_knowledge_state(user: LLMUser, doc_id: str, text: str, relevant: bool
     """Absorb a fresh judgment and regenerate that side's summary.
 
     The summary is rebuilt from scratch over all documents judged on the same
-    side so far. If the summarization call fails, the previous summary is
-    kept and the failure reported; the judgment itself is never rolled back.
+    side so far. If the summarization request fails with a ``BackendError``,
+    the previous summary is kept and the failure reported; the judgment
+    itself is never rolled back. Any other exception propagates.
     """
     state = user.state
     state.record(doc_id, relevant, text)
@@ -400,7 +402,7 @@ def update_knowledge_state(user: LLMUser, doc_id: str, text: str, relevant: bool
                                       max_words)
     try:
         summary = _ask(user.backend, messages, TAG_SUMMARIZATION).strip()
-    except Exception as exc:  # backend failure must not lose the judgment
+    except BackendError as exc:  # backend failure must not lose the judgment
         message = f"summarization failed, keeping previous summary: {exc}"
         logger.warning(message)
         user.on_anomaly(message)

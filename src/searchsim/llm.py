@@ -8,7 +8,6 @@ back to a hash-driven synthesizer shaped by the request tag.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import http.client
 import json
@@ -242,37 +241,31 @@ class ReplyMemo:
     question reaches the backend once however the callers interleave. A
     failure is never kept: its waiters and every later caller send their own.
 
-    With ``slots``, at most that many requests are forwarded at once. A
-    forwarded request holds its slot only while the inner backend answers,
-    never while it waits for another caller's reply. With ``stop``, a request
-    that would be forwarded once the event is set is refused with
-    ``RequestRefused``; a forwarded request that fails other than with a
-    ``BackendError`` sets the event before it gives its slot back, and the
-    first such failure is kept in ``failure``.
+    At most ``slots`` requests are forwarded at once. A forwarded request
+    holds its slot only while the inner backend answers, never while it waits
+    for another caller's reply. A request that would be forwarded once
+    ``stop`` is set is refused with ``RequestRefused``; a forwarded request
+    that fails other than with a ``BackendError`` sets ``stop`` before it
+    gives its slot back.
     """
 
-    def __init__(self, inner, slots: int | None = None,
-                 stop: threading.Event | None = None):
+    def __init__(self, inner, slots: int, stop: threading.Event):
         self.inner = inner
-        self.failure: BaseException | None = None
-        self._slots = threading.BoundedSemaphore(slots) if slots else contextlib.nullcontext()
+        self._slots = threading.BoundedSemaphore(slots)
         self._stop = stop
         self._lock = threading.Lock()
         self._replies: dict[bytes, ChatResponse | _InFlight] = {}
 
     def _forward(self, request: ChatRequest) -> ChatResponse:
         with self._slots:
-            if self._stop is not None and self._stop.is_set():
+            if self._stop.is_set():
                 raise RequestRefused("not sent: the campaign is stopping")
             try:
                 return self.inner.complete(request)
             except BackendError:
                 raise
-            except BaseException as exc:
-                with self._lock:
-                    self.failure = self.failure or exc
-                if self._stop is not None:
-                    self._stop.set()  # before the slot is given back: no request starts unseen
+            except BaseException:
+                self._stop.set()  # before the slot is given back: no request starts unseen
                 raise
 
     @staticmethod

@@ -302,6 +302,16 @@ class TestKnowledgeState:
         assert seen(user.state, True) == ["d1", "d2"]
         assert anomalies
 
+    def test_a_failure_other_than_a_backend_error_propagates(self):
+        class Broken:
+            def complete(self, request):
+                raise RuntimeError("a bug")
+
+        user = self.user(Broken())
+        with pytest.raises(RuntimeError, match="a bug"):
+            update_knowledge_state(user, "d1", "b1", True, 200)
+        assert seen(user.state, True) == ["d1"]  # the judgment is kept
+
     def test_seen_lists_disjoint_and_order_preserving_fuzzed(self):
         rng = random.Random(77)
         for _ in range(30):

@@ -161,6 +161,10 @@ def ask_together(backend, request, callers=2):
     return results
 
 
+def memo_over(inner, slots=1):
+    return ReplyMemo(inner, slots=slots, stop=threading.Event())
+
+
 class TestReplyMemo:
     JUDGE = ChatRequest((ChatMessage("system", "You judge relevance."),
                          ChatMessage("user", "Is this relevant? yes or no")),
@@ -168,13 +172,13 @@ class TestReplyMemo:
 
     def test_a_question_asked_twice_at_once_reaches_the_backend_once(self):
         inner = SlowBackend(delay=0.2)
-        texts = ask_together(ReplyMemo(inner), self.JUDGE)
+        texts = ask_together(memo_over(inner), self.JUDGE)
         assert inner.calls == 1
         assert texts == [ScriptedBackend().complete(self.JUDGE).text] * 2
 
     def test_many_callers_in_any_order_send_each_question_once(self):
         inner = CapturingBackend(ScriptedBackend())
-        memo = ReplyMemo(inner)
+        memo = memo_over(inner)
         requests = [request_of(f"question {i}", tag=TAG_RELEVANCE_JUDGMENT) for i in range(40)]
         expected = [ScriptedBackend().complete(r).text for r in requests]
         answers = {}
@@ -200,7 +204,7 @@ class TestReplyMemo:
 
     def test_temperature_one_is_always_forwarded(self):
         inner = SlowBackend()
-        memo = ReplyMemo(inner)
+        memo = memo_over(inner)
         hot = replace(self.JUDGE, temperature=1.0, tag=TAG_QUERY_GENERATION)
         memo.complete(hot)
         memo.complete(hot)
@@ -208,7 +212,7 @@ class TestReplyMemo:
 
     def test_requests_that_differ_in_any_part_are_all_forwarded(self):
         inner = SlowBackend()
-        memo = ReplyMemo(inner)
+        memo = memo_over(inner)
         system, user = self.JUDGE.messages
         requests = [self.JUDGE,
                     replace(self.JUDGE, tag=TAG_SUMMARIZATION),
@@ -222,7 +226,7 @@ class TestReplyMemo:
 
     def test_a_failure_is_not_remembered(self):
         inner = SlowBackend(delay=0.2, fail_on={1})
-        memo = ReplyMemo(inner)
+        memo = memo_over(inner)
         expected = ScriptedBackend().complete(self.JUDGE).text
         first, waiter = sorted(ask_together(memo, self.JUDGE), key=lambda r: r == expected)
         assert isinstance(first, BackendError) and waiter == expected
@@ -234,7 +238,7 @@ class TestReplyMemo:
 
     def test_a_request_waiting_for_another_holds_no_slot(self):
         inner = SlowBackend(delay=0.3)
-        memo = ReplyMemo(inner, slots=2)
+        memo = memo_over(inner, slots=2)
         first = threading.Thread(target=memo.complete, args=(self.JUDGE,))
         waiter = threading.Thread(target=memo.complete, args=(self.JUDGE,))
         first.start()
@@ -249,7 +253,7 @@ class TestReplyMemo:
 
     def test_slots_bound_the_requests_forwarded_at_once(self):
         inner = SlowBackend(delay=0.02)
-        memo = ReplyMemo(inner, slots=2)
+        memo = memo_over(inner, slots=2)
         hot = replace(self.JUDGE, temperature=1.0, tag=TAG_QUERY_GENERATION)
         assert ask_together(memo, hot, callers=6) == [ScriptedBackend().complete(hot).text] * 6
         assert (inner.calls, inner.most) == (6, 2)
@@ -268,7 +272,7 @@ class TestReplyMemo:
         assert inner.calls == 1
         assert issubclass(RequestRefused, BackendError)  # a session ends on it
 
-    def test_a_failure_other_than_a_backend_error_stops_and_is_kept(self):
+    def test_a_failure_other_than_a_backend_error_stops(self):
         class Broken:
             def complete(self, request):
                 raise RuntimeError("a bug")
@@ -277,16 +281,16 @@ class TestReplyMemo:
         memo = ReplyMemo(Broken(), slots=1, stop=stop)
         with pytest.raises(RuntimeError, match="a bug"):
             memo.complete(self.JUDGE)
-        assert stop.is_set() and str(memo.failure) == "a bug"
+        assert stop.is_set()
         with pytest.raises(RequestRefused):
             memo.complete(self.JUDGE)
 
-    def test_a_backend_error_neither_stops_nor_is_kept(self):
+    def test_a_backend_error_does_not_stop(self):
         stop = threading.Event()
         memo = ReplyMemo(SlowBackend(fail_on={1}), slots=1, stop=stop)
         with pytest.raises(BackendError):
             memo.complete(self.JUDGE)
-        assert not stop.is_set() and memo.failure is None
+        assert not stop.is_set()
         assert memo.complete(self.JUDGE).text == ScriptedBackend().complete(self.JUDGE).text
 
 

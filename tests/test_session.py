@@ -867,7 +867,7 @@ class TestCampaign:
         # each session fails on its first request; only those already running reach it
         assert 1 <= len(calls) <= workers
 
-    def test_a_failure_that_a_session_catches_still_fails_the_campaign(self, campaign_setup):
+    def test_a_failure_other_than_a_backend_error_fails_the_campaign(self, campaign_setup):
         topics, index, qrels, policy = campaign_setup
 
         class BrokenSummaries:
@@ -878,8 +878,8 @@ class TestCampaign:
                     raise RuntimeError("not a backend failure: a bug")
                 return self.inner.complete(request)
 
-        # the session logs a failed summary as an anomaly and goes on; its next
-        # request is refused, and the campaign raises the bug, not the refusal
+        # the other sessions' next requests are refused; the campaign raises
+        # the bug, not a refusal
         with pytest.raises(RuntimeError, match="a bug"):
             run_campaign(topics, [UserKind.CRF], index, qrels, policy=policy,
                          backend=BrokenSummaries(), workers=2)
