@@ -13,7 +13,6 @@ from .agents import (
 )
 from .corpus import (
     Document,
-    ParseError,
     ParseReport,
     QrelSet,
     Topic,

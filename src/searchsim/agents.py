@@ -337,18 +337,18 @@ def generate_initial_queries(user: LLMUser, n_queries: int) -> list[str]:
     return queries
 
 
-def generate_query_naive(topic: Topic, rng, *, on_anomaly: AnomalySink, n_terms: int = 3,
-                         stopwords: frozenset[str] = ENGLISH_STOPWORDS) -> str:
-    """Sample distinct terms uniformly from the topic's vocabulary.
+def generate_query_naive(topic: Topic, rng, *, on_anomaly: AnomalySink) -> str:
+    """Sample three distinct terms uniformly from the topic's vocabulary.
 
     The vocabulary is the alphabetically sorted set of non-stopword tokens in
     the topic's title, description, and narrative. Draw order: repeated
     uniform index picks over the remaining sorted vocabulary (without
     replacement), so a fixed rng seed reproduces the query exactly. When the
-    vocabulary has fewer than n_terms entries the sampling falls back to
+    vocabulary has fewer than three entries the sampling falls back to
     drawing with replacement and reports a warning.
     """
-    vocabulary = sorted(set(tokenize(topic.all_text(), stopwords=stopwords)))
+    n_terms = 3
+    vocabulary = sorted(set(tokenize(topic.all_text(), stopwords=ENGLISH_STOPWORDS)))
     if not vocabulary:
         vocabulary = sorted(set(tokenize(topic.all_text())))
     if not vocabulary:
@@ -375,16 +375,15 @@ def decide_relevance_random(rng, p: float = 0.5) -> bool:
 def decide_relevance_llm(user: LLMUser, text: str) -> bool:
     """Binary LLM judgment of a text at temperature 0.
 
-    An unreadable reply is retried once, then treated as not relevant with a
+    The judgment is asked once: at temperature 0 the same request gets the
+    same reply. An unreadable reply is treated as not relevant with a
     reported anomaly.
     """
-    messages = build_judge_prompt(user, text)
-    for _ in range(2):
-        verdict = parse_yes_no(_ask(user.backend, messages, TAG_RELEVANCE_JUDGMENT))
-        if verdict is not None:
-            return verdict
-    user.on_anomaly("judgment reply matched neither yes nor no twice; treating as not relevant")
-    return False
+    verdict = parse_yes_no(_ask(user.backend, build_judge_prompt(user, text),
+                                TAG_RELEVANCE_JUDGMENT))
+    if verdict is None:
+        user.on_anomaly("judgment reply matched neither yes nor no; treating as not relevant")
+    return bool(verdict)
 
 
 def update_knowledge_state(user: LLMUser, doc_id: str, text: str, relevant: bool,

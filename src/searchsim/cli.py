@@ -59,6 +59,10 @@ def _index_path(config: CampaignConfig) -> Path:
     return config.output_dir / "index.json"
 
 
+def _qrels_counts(qrels, report: ParseReport) -> str:
+    return f"qrels={len(qrels)} skipped={report.skipped} warnings={report.warnings}"
+
+
 def cmd_index(args) -> int:
     config = _load_config(args)
     problems = config.validate(simulate=False)
@@ -95,8 +99,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"index {index_path} was built with other options than the "
                               f"config: {', '.join(mismatches)}; rebuild the index with "
                               "`searchsim index`")
-        topics = config.load_topics()
-        qrels = config.load_qrels()
+        topics_report, qrels_report = ParseReport(), ParseReport()
+        topics = config.load_topics(topics_report)
+        qrels = config.load_qrels(qrels_report)
+        print(f"topics={len(topics)} skipped={topics_report.skipped}")
+        print(_qrels_counts(qrels, qrels_report))
         backend = config.make_backend()
         logs = run_campaign(topics, config.users, index, qrels,
                             policy=config.policy, cost_model=config.cost_model,
@@ -195,7 +202,9 @@ def cmd_evaluate(args) -> int:
         qrels_path = Path(args.qrels)
         if not qrels_path.is_file():
             raise ConfigError(f"qrels file not found: {qrels_path}")
-        qrels = parse_qrels(qrels_path.read_bytes())
+        report = ParseReport()
+        qrels = parse_qrels(qrels_path.read_bytes(), report=report)
+        print(_qrels_counts(qrels, report))
     if args.scope == SCOPE_INSPECTED and qrels is None:
         raise ConfigError("--scope inspected needs --qrels")
     logs, manifest = _collect_logs(logs_dir, args.force)
@@ -259,7 +268,7 @@ def cmd_report(args) -> int:
     unjudged = out_dir / "unjudged_summary.csv"
     if unjudged.is_file():
         total = sum(int(line.rsplit(",", 1)[1])
-                    for line in unjudged.read_text().strip().splitlines()[1:])
+                    for line in unjudged.read_text(encoding="utf-8").strip().splitlines()[1:])
         print(f"unjudged-but-relevant judgments across sessions: {total}")
     return EXIT_OK
 

@@ -1,8 +1,8 @@
 """Parsers for TREC-style test collections: documents, topics, and qrels.
 
-All parsers read raw bytes (UTF-8 decoded with lossy replacement) and run in
-lenient mode by default: malformed units are skipped and counted instead of
-aborting. Pass ``strict=True`` to abort on the first malformed unit.
+All parsers read raw bytes (UTF-8 decoded with lossy replacement) and are
+lenient: a malformed unit is skipped and counted in the caller's
+``ParseReport`` instead of aborting the parse.
 """
 from __future__ import annotations
 
@@ -15,24 +15,10 @@ from typing import Iterator, Mapping
 DEFAULT_FIELD_MAP: Mapping[str, str] = {"id": "id", "title": "title", "body": "body"}
 
 
-class ParseError(ValueError):
-    """Malformed input. Carries the byte offset or line number when known."""
-
-    def __init__(self, message: str, *, offset: int | None = None, line: int | None = None):
-        where = []
-        if offset is not None:
-            where.append(f"byte offset {offset}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
-        self.offset = offset
-        self.line = line
-
-
 @dataclass
 class ParseReport:
-    """Counters filled in by the parsers when running in lenient mode."""
+    """Counters filled in by the parsers: units skipped, duplicate keys
+    overwritten, and the first messages naming them."""
 
     skipped: int = 0
     warnings: int = 0
@@ -144,8 +130,7 @@ def _clean_sgml_chunk(raw: bytes) -> str:
     return text.strip()
 
 
-def parse_trectext(data: bytes, *, strict: bool = False,
-                   report: ParseReport | None = None) -> list[Document]:
+def parse_trectext(data: bytes, *, report: ParseReport | None = None) -> list[Document]:
     """Parse an SGML-style corpus of ``<DOC>`` blocks into Documents.
 
     The body is the concatenation of the text-bearing tags in document
@@ -157,8 +142,6 @@ def parse_trectext(data: bytes, *, strict: bool = False,
         m = _DOCNO_RE.search(inner)
         doc_id = _decode(m.group(1)).strip() if m else ""
         if not doc_id:
-            if strict:
-                raise ParseError("DOC block without a DOCNO", offset=offset)
             report.skipped += 1
             report.note(f"skipped DOC block without DOCNO at byte offset {offset}")
             continue
@@ -173,14 +156,13 @@ def parse_trectext(data: bytes, *, strict: bool = False,
 # --- line-delimited corpora -------------------------------------------------
 
 def parse_jsonl_corpus(data: bytes, field_map: Mapping[str, str] | None = None, *,
-                       strict: bool = False,
                        report: ParseReport | None = None) -> list[Document]:
     """Parse a corpus of one JSON record per line, where only ``"\\n"`` ends
     a line.
 
     ``field_map`` names the record keys for our fields: ``{"id": ..., "title":
     ..., "body": ...}``. A record without the title key yields title=None; a
-    record without the body key yields an empty body in lenient mode.
+    record without the body key yields an empty body.
     """
     fmap = dict(DEFAULT_FIELD_MAP)
     fmap.update(field_map or {})
@@ -200,19 +182,13 @@ def parse_jsonl_corpus(data: bytes, field_map: Mapping[str, str] | None = None, 
             if not doc_id:
                 raise ValueError("empty id")
         except (ValueError, KeyError) as exc:
-            if strict:
-                raise ParseError(f"unparseable record: {exc}", line=lineno) from exc
             report.skipped += 1
             report.note(f"skipped line {lineno}: {exc}")
             continue
         body = record.get(fmap["body"])
-        if body is None:
-            if strict:
-                raise ParseError("record without a body", line=lineno)
-            body = ""
         title = record.get(fmap["title"])
         docs.append(Document(doc_id=doc_id, title=None if title is None else str(title),
-                             body=str(body)))
+                             body="" if body is None else str(body)))
     return docs
 
 
@@ -236,8 +212,7 @@ def _strip_label(name: str, text: str) -> str:
     return text
 
 
-def parse_topics(data: bytes, *, strict: bool = False,
-                 report: ParseReport | None = None) -> list[Topic]:
+def parse_topics(data: bytes, *, report: ParseReport | None = None) -> list[Topic]:
     """Parse ``<top>`` blocks with num/title/desc/narr sections.
 
     Sections may be left unclosed (the de-facto convention); each runs to the
@@ -258,8 +233,6 @@ def parse_topics(data: bytes, *, strict: bool = False,
         topic_id = sections.get("num", "")
         title = sections.get("title", "")
         if not title:
-            if strict:
-                raise ParseError(f"topic {topic_id or '<unnumbered>'} has no title")
             report.skipped += 1
             report.note(f"skipped topic {topic_id or '<unnumbered>'}: no title")
             continue
@@ -271,8 +244,7 @@ def parse_topics(data: bytes, *, strict: bool = False,
 
 # --- qrels -------------------------------------------------------------------
 
-def parse_qrels(data: bytes, *, strict: bool = False,
-                report: ParseReport | None = None) -> QrelSet:
+def parse_qrels(data: bytes, *, report: ParseReport | None = None) -> QrelSet:
     """Parse 4-column qrels lines: ``topic_id iteration doc_id grade``.
 
     Duplicate (topic_id, doc_id) keys are overwritten last-wins with a
@@ -293,8 +265,6 @@ def parse_qrels(data: bytes, *, strict: bool = False,
             if grade < 0:
                 raise ValueError(f"negative grade {grade}")
         except ValueError as exc:
-            if strict:
-                raise ParseError(f"bad qrels line: {exc}", line=lineno) from exc
             report.skipped += 1
             report.note(f"skipped qrels line {lineno}: {exc}")
             continue

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import array
 import heapq
-import io
 import json
 import math
 import mmap
@@ -138,7 +137,7 @@ class InvertedIndex:
         if impacts is None:
             flat = self.postings[term]
             ordinals = flat[::2]
-            # a loaded file may repeat or reorder ordinals; index_from_bytes
+            # a loaded file may repeat or reorder ordinals; load_index
             # leaves this walk to the first use of each term
             if not all(map(operator.lt, ordinals, ordinals[1:])):
                 raise IndexFormatError(f"term {term!r}: document ordinals are not "
@@ -384,13 +383,6 @@ def _write_index(index: InvertedIndex, out: BinaryIO) -> None:
     out.write(_packed(offsets, _OFFSET_TYPECODE))
 
 
-def index_to_bytes(index: InvertedIndex) -> bytes:
-    """The index file's bytes, as ``save_index`` writes them."""
-    out = io.BytesIO()
-    _write_index(index, out)
-    return out.getvalue()
-
-
 class _StoredDocuments(Sequence[Document]):
     """The documents of a loaded index. Each is decoded from the file's text
     block when it is read, and nothing decoded is kept."""
@@ -434,7 +426,7 @@ class _StoredDocuments(Sequence[Document]):
         return Document(doc_id=self._doc_ids[i], title=title, body=body)
 
 
-def index_from_bytes(data: bytes | mmap.mmap) -> InvertedIndex:
+def _read_index(data: bytes | mmap.mmap) -> InvertedIndex:
     """The index in a file's bytes. A loaded index reads its documents from
     ``data``, which must stay unchanged while the index is in use."""
     view = memoryview(data)
@@ -537,7 +529,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     with open(path, "rb") as f:
         loaded = os.fstat(f.fileno())
         if not loaded.st_size:
-            return index_from_bytes(b"")
-        index = index_from_bytes(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
+            return _read_index(b"")
+        index = _read_index(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
         index.documents.watch(os.dup(f.fileno()), loaded)
     return index

@@ -54,6 +54,8 @@ END_MAX_QUERIES = "max_queries_reached"
 END_QUERIES_EXHAUSTED = "queries_exhausted"
 END_BACKEND_FAILURE = "backend_failure"
 END_QUERY_GENERATION_FAILURE = "query_generation_failure"
+END_REASONS = (END_MAX_QUERIES, END_QUERIES_EXHAUSTED, END_BACKEND_FAILURE,
+               END_QUERY_GENERATION_FAILURE)
 
 # Snippet stop rules
 FIXED_DEPTH = "fixed_depth"
@@ -161,10 +163,9 @@ class SessionLog:
 
     @property
     def end_reason(self) -> str | None:
-        for it in reversed(self.interactions):
-            if it.kind == SESSION_ENDED:
-                return it.payload.get("reason")
-        return None
+        """The reason its last record gives, if that record ends the session."""
+        last = self.interactions[-1] if self.interactions else None
+        return last.payload.get("reason") if last and last.kind == SESSION_ENDED else None
 
     @property
     def anomaly_count(self) -> int:
@@ -415,7 +416,8 @@ class LogFormatError(ValueError):
 
 # the payload keys that evaluation reads, by interaction kind
 _PAYLOAD_KEYS = {QUERY_ISSUED: frozenset({"query"}), SNIPPET_VIEWED: frozenset({"doc_id"}),
-                 JUDGMENT_MADE: frozenset({"doc_id", "relevant", "grade"})}
+                 JUDGMENT_MADE: frozenset({"doc_id", "relevant", "grade"}),
+                 SESSION_ENDED: frozenset({"reason"})}
 _AFTER_QUERY = frozenset({SNIPPET_VIEWED, DOCUMENT_VIEWED, JUDGMENT_MADE})
 
 
@@ -452,7 +454,8 @@ def _record(line: str):
 
 
 def session_log_from_jsonl(data: bytes) -> SessionLog:
-    """Parse a session log; a record that evaluation could not read is a
+    """Parse a session log; a record that evaluation could not read, or a
+    log whose last record is not its one ``SessionEnded``, is a
     ``LogFormatError`` naming its line."""
     # records end at "\n" only: the writer leaves U+2028, U+0085 and the like
     # raw inside strings, where str.splitlines would break them
@@ -462,7 +465,7 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     log = None
-    queried = False
+    queried = ended = False
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -474,6 +477,8 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
             if log is None:
                 log = _header(record)
                 continue
+            if ended:
+                raise ValueError(f"a record after the {SESSION_ENDED} record")
             seq, kind, cost, payload = (record["seq"], record["kind"], record["cost"],
                                         record["payload"])
             if not isinstance(payload, dict):
@@ -496,11 +501,20 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
                 queried = True
             elif not queried and kind in _AFTER_QUERY:
                 raise ValueError(f"{kind} before the first {QUERY_ISSUED}")
+            elif kind == SESSION_ENDED:
+                if payload["reason"] not in END_REASONS:
+                    raise ValueError(f"{SESSION_ENDED} reason {payload['reason']!r} is not "
+                                     f"one of {', '.join(END_REASONS)}")
+                ended = True
             log.interactions.append(Interaction(seq, kind, cost, payload))
         except (ValueError, KeyError, TypeError) as exc:
             raise LogFormatError(f"bad session log, line {lineno}: {exc}") from exc
     if log is None:
         raise LogFormatError("empty session log")
+    if not ended:
+        lineno = text.rstrip().count("\n") + 1  # the last record's line
+        raise LogFormatError(f"bad session log, line {lineno}: the log ends without "
+                             f"a {SESSION_ENDED} record")
     return log
 
 

@@ -17,7 +17,6 @@ from searchsim.agents import UserKind
 from searchsim.corpus import (
     _DOCNO_RE,
     Document,
-    ParseError,
     ParseReport,
     _clean_sgml_chunk,
     _decode,
@@ -186,7 +185,7 @@ _LAZY_TITLE_TAG_RE = re.compile(rb"<(HEADLINE|TITLE)>(.*?)</\1>", re.S | re.I)
 _LAZY_BODY_TAG_RE = re.compile(rb"<(TEXT|LEADPARA|SUMMARY|ABSTRACT)>(.*?)</\1>", re.S | re.I)
 
 
-def oracle_parse_trectext(data, *, strict=False, report=None):
+def oracle_parse_trectext(data, *, report=None):
     """parse_trectext with every block and tag found by a lazy regex."""
     report = report if report is not None else ParseReport()
     docs = []
@@ -196,8 +195,6 @@ def oracle_parse_trectext(data, *, strict=False, report=None):
         m = _DOCNO_RE.search(inner)
         doc_id = _decode(m.group(1)).strip() if m else ""
         if not doc_id:
-            if strict:
-                raise ParseError("DOC block without a DOCNO", offset=offset)
             report.skipped += 1
             report.note(f"skipped DOC block without DOCNO at byte offset {offset}")
             continue

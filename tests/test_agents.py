@@ -218,14 +218,15 @@ class TestJudgePrompts:
         assert "summary of the good ones" in prompt
         assert "summary of the bad ones" in prompt
 
-    def test_unreadable_reply_retries_then_defaults_false(self, toy_topic):
+    def test_unreadable_reply_asks_once_then_defaults_false(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("hmm, unclear"))
         anomalies = []
         user = llm_user(UserKind.FTTC, toy_topic, backend, on_anomaly=anomalies.append)
         verdict = decide_relevance_llm(user, "doc")
         assert verdict is False
-        assert len(backend.requests) == 2
-        assert anomalies
+        assert len(backend.requests) == 1
+        assert anomalies == ["judgment reply matched neither yes nor no; "
+                             "treating as not relevant"]
 
     def test_judgment_request_params(self, toy_topic):
         backend = CapturingBackend(ConstantBackend("yes"))

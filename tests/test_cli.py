@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from http.server import ThreadingHTTPServer
@@ -15,7 +18,14 @@ from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import ENGLISH_STOPWORDS, build_index, save_index
 from searchsim.metrics import aggregate_curves, information_gain_curve
 from searchsim.agents import PromptTemplates, UserKind
-from searchsim.session import SessionLog, read_session_log, write_session_log
+from searchsim.session import (
+    END_QUERIES_EXHAUSTED,
+    SESSION_ENDED,
+    Interaction,
+    SessionLog,
+    read_session_log,
+    write_session_log,
+)
 
 from test_config import BAD_SESSION_VALUES
 from test_index import edit_v5, v2_file, v5_parts
@@ -64,6 +74,12 @@ def yes_replies(tmp_path):
         "Output only the summary\tok\n",
         encoding="utf-8")
     return replies
+
+
+def ended_log(topic_id: str) -> SessionLog:
+    """An RND log of ``topic_id`` that ends before its first query."""
+    return SessionLog(topic_id=topic_id, user_kind=UserKind.RND, seed=0, interactions=[
+        Interaction(0, SESSION_ENDED, 0.0, {"reason": END_QUERIES_EXHAUSTED})])
 
 
 def run_pipeline(tmp_path, config_path):
@@ -322,6 +338,26 @@ class TestCmdSimulate:
         assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "logs").exists()
 
+    def test_parse_counts_are_printed(self, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_bytes(fixture_path("topics.txt").read_bytes()
+                           + b"\n<top>\n<num> Number: 899\n<desc> no title\n</top>\n")
+        fixture_qrels = fixture_path("qrels.txt").read_bytes()
+        qrels = tmp_path / "qrels.txt"
+        # a line of three columns, and the first line again
+        qrels.write_bytes(fixture_qrels + b"801 0 FIX-801-001\n"
+                          + fixture_qrels.splitlines(keepends=True)[0])
+        config_path = write_config(tmp_path, users=("RND",))
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["collection"].update(topics=str(topics), qrels=str(qrels))
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_pipeline(tmp_path, config_path)
+        counts = "qrels=30 skipped=1 warnings=1\n"
+        assert f"topics=3 skipped=1\n{counts}" in capsys.readouterr().out
+        assert main(["evaluate", "--logs", str(tmp_path / "out" / "logs"),
+                     "--qrels", str(qrels)]) == 0
+        assert capsys.readouterr().out.startswith(counts)
+
     def test_anomalies_over_threshold_exit_code(self, tmp_path):
         replies = tmp_path / "replies.tsv"
         replies.write_text(
@@ -463,7 +499,7 @@ class TestCmdEvaluate:
         config_path = write_config(tmp_path, users=("RND",))
         run_pipeline(tmp_path, config_path)
         logs = tmp_path / "out" / "logs"
-        write_session_log(SessionLog(topic_id="extra", user_kind=UserKind.RND, seed=0), logs)
+        write_session_log(ended_log("extra"), logs)
         capsys.readouterr()
         assert main(["evaluate", "--logs", str(logs)]) == 1
         err = capsys.readouterr().err
@@ -547,13 +583,33 @@ class TestCmdEvaluate:
         path = logs / "801__CRF.jsonl"
         lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) > 5
-        path.write_bytes(b"".join(lines[:5]))  # the header and 4 interactions
+        # the header, 3 interactions, and an end that numbers the log 4 long
+        end = ('{"record":"interaction","seq":3,"kind":"SessionEnded","cost":0.0,'
+               '"payload":{"reason":"queries_exhausted"}}\n')
+        path.write_bytes(b"".join(lines[:4]) + end.encode("utf-8"))
         capsys.readouterr()
         assert main(["evaluate", "--logs", str(logs)]) == 1
         err = capsys.readouterr().err
         assert f"801__CRF.jsonl has 4, not {len(lines) - 1}" in err and "--force" in err
         assert not (tmp_path / "out" / "eval").exists()
         assert main(["evaluate", "--logs", str(logs), "--force"]) == 0
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_log_cut_before_its_end_is_refused_even_when_forced(self, tmp_path, capsys,
+                                                                 force):
+        config_path = write_config(tmp_path, users=("CRF",),
+                                   reply_table=yes_replies(tmp_path))
+        run_pipeline(tmp_path, config_path)
+        logs = tmp_path / "out" / "logs"
+        path = logs / "801__CRF.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:5]))  # the header and 4 interactions
+        capsys.readouterr()
+        assert main(["evaluate", "--logs", str(logs)] + ["--force"] * force) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {path}: bad session log, line 5: the log ends without a "
+                "SessionEnded record") in err
+        assert not (tmp_path / "out" / "eval").exists()
 
     def test_log_that_is_not_utf8_is_reported_by_line(self, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -583,8 +639,7 @@ class TestCmdEvaluate:
     def test_raw_csv_names_stay_inside_raw_dir(self, tmp_path):
         logs = tmp_path / "run" / "logs"
         logs.mkdir(parents=True)
-        log = SessionLog(topic_id="../escape", user_kind=UserKind.RND, seed=0)
-        write_session_log(log, logs)
+        write_session_log(ended_log("../escape"), logs)
         assert main(["evaluate", "--logs", str(logs)]) == 0
         eval_dir = tmp_path / "run" / "eval"
         assert sorted(p.name for p in (eval_dir / "raw").iterdir()) == [
@@ -621,6 +676,20 @@ class TestCmdReport:
         assert main(["report", str(tmp_path / "out" / "eval")]) == 0
         out = capsys.readouterr().out
         assert "RND" in out and "ig" in out and "sdcg" in out
+
+    def test_report_reads_a_non_ascii_topic_id_in_the_c_locale(self, tmp_path):
+        config_path = write_config(tmp_path, users=("RND",))
+        run_pipeline(tmp_path, config_path)
+        assert main(["evaluate", "--logs", str(tmp_path / "out" / "logs")]) == 0
+        eval_dir = tmp_path / "out" / "eval"
+        with open(eval_dir / "unjudged_summary.csv", "a", encoding="utf-8") as out:
+            out.write("RND,café,2\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "searchsim.cli", "report", str(eval_dir)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "unjudged-but-relevant judgments across sessions: 2" in done.stdout
 
     def test_report_without_manifest(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from searchsim.corpus import (
     Document,
-    ParseError,
     ParseReport,
     parse_jsonl_corpus,
     parse_qrels,
@@ -37,14 +36,6 @@ TRECTEXT_FRAGMENTS = [
 trectext_bytes = st.lists(
     st.lists(st.sampled_from(TRECTEXT_FRAGMENTS) | st.binary(max_size=3), max_size=10),
     max_size=10).map(lambda runs: b"".join(b"".join(run) for run in runs))
-
-
-def strict_error_offset(parse, data):
-    try:
-        parse(data, strict=True)
-    except ParseError as exc:
-        return exc.offset
-    return None
 
 
 class TestParseTrectext:
@@ -82,19 +73,14 @@ class TestParseTrectext:
         assert "<P>" not in doc.body
 
     def test_missing_docno_lenient_counts_skip(self):
-        data = (b"<DOC><TEXT>orphan</TEXT></DOC>"
-                b"<DOC><DOCNO>ok</DOCNO><TEXT>fine</TEXT></DOC>")
+        prefix = b"<DOC><DOCNO>ok</DOCNO><TEXT>fine</TEXT></DOC>"
+        data = prefix + b"<DOC><TEXT>orphan</TEXT></DOC>"
         report = ParseReport()
         docs = parse_trectext(data, report=report)
         assert [d.doc_id for d in docs] == ["ok"]
         assert report.skipped == 1
-
-    def test_missing_docno_strict_raises_with_offset(self):
-        prefix = b"<DOC><DOCNO>ok</DOCNO><TEXT>x</TEXT></DOC>"
-        data = prefix + b"<DOC><TEXT>orphan</TEXT></DOC>"
-        with pytest.raises(ParseError) as err:
-            parse_trectext(data, strict=True)
-        assert err.value.offset == len(prefix)
+        assert report.messages == [
+            f"skipped DOC block without DOCNO at byte offset {len(prefix)}"]
 
     def test_fixture_block_count(self, fixture_collection):
         docs, _, _ = fixture_collection
@@ -110,8 +96,6 @@ class TestParseTrectext:
         assert (parse_trectext(data, report=report)
                 == oracle_parse_trectext(data, report=expected_report))
         assert report == expected_report
-        assert (strict_error_offset(parse_trectext, data)
-                == strict_error_offset(oracle_parse_trectext, data))
 
 
 class TestParseJsonl:
@@ -142,12 +126,8 @@ class TestParseJsonl:
         docs = parse_jsonl_corpus("\n".join(lines).encode(), report=report)
         assert len(docs) == 97
         assert report.skipped == 3
-
-    def test_strict_aborts_with_line_number(self):
-        data = b'{"id": "a", "body": "x"}\nnot json\n'
-        with pytest.raises(ParseError) as err:
-            parse_jsonl_corpus(data, strict=True)
-        assert err.value.line == 2
+        assert [m.split(":")[0] for m in report.messages] == [
+            "skipped line 11", "skipped line 41", "skipped line 78"]
 
     @pytest.mark.parametrize("char", LINE_BOUNDARIES)
     def test_line_boundary_characters_round_trip(self, char):
@@ -172,9 +152,6 @@ class TestParseJsonl:
         lines = [m.split(":")[0] for m in report.messages]
         assert lines == ([] if valid_raw else ["skipped line 1"]) + [
             "skipped line 2", "skipped line 4"]
-        with pytest.raises(ParseError) as err:
-            parse_jsonl_corpus(data, strict=True)
-        assert err.value.line == (2 if valid_raw else 1)
 
 
 class TestParseTopics:
@@ -208,13 +185,12 @@ class TestParseTopics:
         assert topic.title == "closed style"
         assert topic.description == "described"
 
-    def test_block_without_title_lenient_and_strict(self):
+    def test_block_without_title_is_skipped_and_named(self):
         data = b"<top><num> Number: 55\n<desc> Description: only desc </top>"
         report = ParseReport()
         assert parse_topics(data, report=report) == []
         assert report.skipped == 1
-        with pytest.raises(ParseError, match="55"):
-            parse_topics(data, strict=True)
+        assert report.messages == ["skipped topic 55: no title"]
 
     def test_fixture_topic_count_in_order(self, fixture_collection):
         _, topics, _ = fixture_collection
@@ -246,9 +222,7 @@ class TestParseQrels:
         qrels = parse_qrels(b"401 0 d1 high\n401 0 d2 1\n", report=report)
         assert qrels.grade("401", "d2") == 1
         assert report.skipped == 1
-        with pytest.raises(ParseError) as err:
-            parse_qrels(b"401 0 d1 high\n", strict=True)
-        assert err.value.line == 1
+        assert report.messages[0].startswith("skipped qrels line 1: ")
 
     def test_grade_distinguishes_zero_from_unjudged(self):
         qrels = parse_qrels(b"401 0 judged1 1\n401 0 judgedzero 0\n")

@@ -27,8 +27,6 @@ from searchsim.index import (
     IndexFormatError,
     bm25_score,
     build_index,
-    index_from_bytes,
-    index_to_bytes,
     load_index,
     make_snippet,
     rank_documents,
@@ -176,12 +174,20 @@ def truncated_block(data: bytes) -> bytes:
     return data[:block_end - 1] + data[block_end:]
 
 
-def loaded_from_a_file(docs):
-    """The index of ``docs`` saved to a file and loaded back; the file stays
-    mapped after its directory is removed."""
+def saved_bytes(index) -> bytes:
+    """The bytes that ``save_index`` writes for ``index``."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "index.json"
-        save_index(build_index(docs), path)
+        save_index(index, path)
+        return path.read_bytes()
+
+
+def load_bytes(data: bytes):
+    """The index that ``load_index`` reads from a file holding ``data``; the
+    file stays mapped after its directory is removed."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "index.json"
+        path.write_bytes(data)
         return load_index(path)
 
 
@@ -281,7 +287,7 @@ class TestBuildIndex:
                 for i, (title, body) in enumerate(fields)]
         index = build_index(docs, stopwords=stopwords, stem=stem)
         assert (index.postings, index.doc_lengths) == oracle_postings(docs, stopwords, stem)
-        header, lengths, postings, _, _ = v5_parts(index_to_bytes(index))
+        header, lengths, postings, _, _ = v5_parts(saved_bytes(index))
         assert header["typecode"] == narrowest_typecode(lengths, postings)
 
     def test_title_tokens_counted_in_length(self):
@@ -295,9 +301,8 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("make", [
         build_index,
-        lambda docs: index_from_bytes(index_to_bytes(build_index(docs))),
-        loaded_from_a_file,
-    ], ids=["built", "loaded", "mapped"])
+        lambda docs: load_bytes(saved_bytes(build_index(docs))),
+    ], ids=["built", "mapped"])
     def test_freed_without_the_cycle_collector(self, toy_docs, make):
         # a reference cycle would keep a used index (and its caches) alive
         # until a full collection, beside the next index a process loads
@@ -673,7 +678,7 @@ class TestSerialization:
         assert index.document("d3").body.startswith("alpha 3")
         loaded = os.stat(path)
         if longer:
-            other = index_to_bytes(built("omega", 9))
+            other = saved_bytes(built("omega", 9))
             assert len(other) > loaded.st_size
         else:  # the same bytes but one letter, at a later modification time
             other = path.read_bytes().replace(b"alpha 3", b"alpha 4")
@@ -700,7 +705,7 @@ class TestSerialization:
 
     def test_rebuild_is_byte_identical(self, fixture_collection):
         docs, _, _ = fixture_collection
-        assert index_to_bytes(build_index(docs)) == index_to_bytes(build_index(docs))
+        assert saved_bytes(build_index(docs)) == saved_bytes(build_index(docs))
 
     # sha256 of the version 5 bytes; a new digest means the on-disk format
     # moved, and its version with it
@@ -711,18 +716,18 @@ class TestSerialization:
     ], ids=["defaults", "stopwords stem k1 b"])
     def test_bytes_are_pinned(self, fixture_collection, options, digest):
         docs, _, _ = fixture_collection
-        data = index_to_bytes(build_index(docs, **options))
+        data = saved_bytes(build_index(docs, **options))
         assert hashlib.sha256(data).hexdigest() == digest
-        assert index_to_bytes(index_from_bytes(data)) == data
+        assert saved_bytes(load_bytes(data)) == data
 
     def test_bad_format_rejected(self):
         with pytest.raises(IndexFormatError):
-            index_from_bytes(b'{"format": "something-else"}')
+            load_bytes(b'{"format": "something-else"}')
         with pytest.raises(IndexFormatError):
-            index_from_bytes(b"not json at all")
+            load_bytes(b"not json at all")
 
     def test_postings_stored_flat(self, toy_docs):
-        header, lengths, postings, _, _ = v5_parts(index_to_bytes(build_index(toy_docs)))
+        header, lengths, postings, _, _ = v5_parts(saved_bytes(build_index(toy_docs)))
         assert (header["version"], header["typecode"], header["itemsize"]) == (5, "B", 1)
         assert header["terms"] == sorted(postings)
         assert lengths == [7, 6, 6]
@@ -731,46 +736,46 @@ class TestSerialization:
 
     @pytest.mark.parametrize("tokens, typecode", [(255, "B"), (256, "H"), (65536, "I")])
     def test_block_uses_the_narrowest_typecode(self, tokens, typecode):
-        data = index_to_bytes(build_index([Document(doc_id="d", body="a " * tokens)]))
+        data = saved_bytes(build_index([Document(doc_id="d", body="a " * tokens)]))
         header, *_ = v5_parts(data)
         assert (header["typecode"], header["itemsize"]) == (
             typecode, array.array(typecode).itemsize)
-        loaded = index_from_bytes(data)
-        assert loaded.doc_lengths == [tokens]
-        assert list(loaded.postings["a"]) == [0, tokens]
+        index = load_bytes(data)
+        assert index.doc_lengths == [tokens]
+        assert list(index.postings["a"]) == [0, tokens]
 
     @pytest.mark.parametrize("last_body, typecode", [("", "B"), ("a", "H")],
                              ids=["last empty", "last not empty"])
     def test_typecode_holds_the_largest_ordinal(self, last_body, typecode):
         docs = [Document(doc_id=f"d{i}", body="a") for i in range(256)]
-        data = index_to_bytes(build_index(docs + [Document(doc_id="d256", body=last_body)]))
+        data = saved_bytes(build_index(docs + [Document(doc_id="d256", body=last_body)]))
         header, lengths, postings, _, _ = v5_parts(data)
         assert header["typecode"] == narrowest_typecode(lengths, postings) == typecode
-        assert index_to_bytes(index_from_bytes(data)) == data
+        assert saved_bytes(load_bytes(data)) == data
 
     def test_version_2_rejected_with_rebuild_message(self, toy_docs):
-        data = v2_file(index_to_bytes(build_index(toy_docs)))
+        data = v2_file(saved_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="version 2 is not supported.*"
                                                    "rerun `searchsim index`"):
-            index_from_bytes(data)
+            load_bytes(data)
 
     def test_version_3_rejected_with_rebuild_message(self, toy_docs):
-        data = v3_file(index_to_bytes(build_index(toy_docs)))
+        data = v3_file(saved_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="version 3 is not supported.*"
                                                    "rerun `searchsim index`"):
-            index_from_bytes(data)
+            load_bytes(data)
 
     def test_version_4_rejected_with_rebuild_message(self, toy_docs):
-        data = v4_file(index_to_bytes(build_index(toy_docs)))
+        data = v4_file(saved_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="version 4 is not supported.*"
                                                    "rerun `searchsim index`"):
-            index_from_bytes(data)
+            load_bytes(data)
 
     def test_missing_field_rejected(self, toy_docs):
-        header, *parts = v5_parts(index_to_bytes(build_index(toy_docs)))
+        header, *parts = v5_parts(saved_bytes(build_index(toy_docs)))
         del header["k1"]
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(v5_file(header, *parts))
+            load_bytes(v5_file(header, *parts))
 
     # A negative value or a non-integer cannot be written into the unsigned
     # integer block. Each such case is its nearest version 5 corruption, named
@@ -816,9 +821,9 @@ class TestSerialization:
             "offsets not starting at 0", "offsets ending before the text",
             "text past the last offset", "file shorter than its header says"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
-        data = corrupt(index_to_bytes(build_index(toy_docs)))
+        data = corrupt(saved_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="malformed"):
-            index_from_bytes(data)
+            load_bytes(data)
 
     # k1=NaN would score every document nan, and b=7.0 re-rank them
     @pytest.mark.parametrize("name, value", [
@@ -828,15 +833,15 @@ class TestSerialization:
     def test_bad_bm25_parameter_refused_at_build_and_load(self, toy_docs, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             build_index(toy_docs, **{name: value})
-        data = edit_v5(index_to_bytes(build_index(toy_docs)), header={name: value})
+        data = edit_v5(saved_bytes(build_index(toy_docs)), header={name: value})
         with pytest.raises(IndexFormatError, match=f"malformed.*{name} must be.*"
                                                    "rerun `searchsim index`"):
-            index_from_bytes(data)
+            load_bytes(data)
 
     def test_text_that_is_not_utf8_is_refused_on_first_read(self, toy_docs):
-        data = index_to_bytes(build_index(toy_docs))
+        data = saved_bytes(build_index(toy_docs))
         text = v5_parts(data)[3]
-        index = index_from_bytes(edit_v5(data, text=text[:36] + b"\xff" + text[37:]))
+        index = load_bytes(edit_v5(data, text=text[:36] + b"\xff" + text[37:]))
         assert index.document("d1") == toy_docs[0]
         for _ in range(2):
             with pytest.raises(IndexFormatError, match="document 'd2'.* not UTF-8.*"
@@ -846,8 +851,8 @@ class TestSerialization:
     @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2]],
                              ids=["repeated ordinal", "descending ordinal"])
     def test_unordered_ordinals_rejected_on_first_use(self, toy_docs, apples):
-        data = edit_v5(index_to_bytes(build_index(toy_docs)), postings={"apples": apples})
-        index = index_from_bytes(data)
+        data = edit_v5(saved_bytes(build_index(toy_docs)), postings={"apples": apples})
+        index = load_bytes(data)
         assert [r[1] for r in search(index, "oranges").results] == ["d2"]
         for _ in range(2):  # nothing is cached for the refused term
             with pytest.raises(IndexFormatError, match="term 'apples'.*strictly ascending"):

@@ -22,7 +22,12 @@ from searchsim.config import CampaignConfig
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.index import InvertedIndex, build_index
-from searchsim.llm import TAG_SUMMARIZATION, BackendError, ScriptedBackend
+from searchsim.llm import (
+    TAG_RELEVANCE_JUDGMENT,
+    TAG_SUMMARIZATION,
+    BackendError,
+    ScriptedBackend,
+)
 from searchsim.metrics import information_gain_curve
 from searchsim.session import (
     ANOMALY,
@@ -31,6 +36,7 @@ from searchsim.session import (
     END_BACKEND_FAILURE,
     END_MAX_QUERIES,
     END_QUERIES_EXHAUSTED,
+    END_REASONS,
     FIXED_DEPTH,
     JUDGMENT_MADE,
     QUERY_ISSUED,
@@ -807,6 +813,26 @@ class TestCampaign:
         assert asked(shared, False) == asked(solo_backend, False)
         assert len(shared.requests) < len(solo_backend.requests)
 
+    def test_unreadable_judgments_reach_the_backend_once_and_log_one_anomaly_each(
+            self, fixture_collection):
+        docs, topics, qrels = fixture_collection
+        # "maybe" is neither yes nor no
+        backend = CapturingBackend(backend_with(["beekeeping permits", "hive rules"], {
+            "Would this text be useful": "maybe", "Output only the summary": "ok"}))
+        policy = SessionPolicy(max_queries=5, page_size=5, queries_per_session=5,
+                               stop_rule=SnippetStopRule("fixed_depth", 5))
+        logs = run_campaign(topics, [UserKind.FTTC], build_index(docs), qrels,
+                            policy=policy, backend=backend)
+        asked = Counter(topic.topic_id for r in backend.requests for topic in topics
+                        if r.tag == TAG_RELEVANCE_JUDGMENT and topic.title in r.prompt_text())
+        # a snippet text seen twice in a session is sent once
+        assert asked == {"801": 11, "802": 9, "803": 9}
+        for log in logs:
+            messages = [it.payload["message"] for it in log.interactions if it.kind == ANOMALY]
+            assert messages.count("judgment reply matched neither yes nor no; treating "
+                                  "as not relevant") == kinds_of(log).count(SNIPPET_VIEWED)
+            assert log.anomaly_count == 11
+
     def test_campaign_requires_topics(self, campaign_setup):
         _, index, qrels, policy = campaign_setup
         with pytest.raises(CampaignError):
@@ -998,15 +1024,57 @@ class TestLogFiles:
 
     def test_header_without_initial_queries_or_config_hash_keeps_defaults(self):
         log = session_log_from_jsonl(
-            b'{"record":"session","topic_id":"t1","user_kind":"RND","seed":3}\n')
+            b'{"record":"session","topic_id":"t1","user_kind":"RND","seed":3}\n'
+            b'{"record":"interaction","seq":0,"kind":"SessionEnded","cost":0.0,'
+            b'"payload":{"reason":"queries_exhausted"}}\n')
         assert (log.initial_queries, log.config_hash) == ([], None)
+
+    @pytest.mark.parametrize("rows, lineno, message", [
+        ([], 1, "the log ends without a SessionEnded record"),
+        ([(QUERY_ISSUED, 1.0, {"query": "q"}), (ANOMALY, 0.0, {"message": "m"})], 3,
+         "the log ends without a SessionEnded record"),
+        ([(QUERY_ISSUED, 1.0, {"query": "q"}), (SESSION_ENDED, 0.0, {"reason": END_MAX_QUERIES}),
+          (ANOMALY, 0.0, {"message": "m"})], 4, "a record after the SessionEnded record"),
+        ([(SESSION_ENDED, 0.0, {"reason": END_BACKEND_FAILURE}),
+          (SESSION_ENDED, 0.0, {"reason": END_BACKEND_FAILURE})], 3,
+         "a record after the SessionEnded record"),
+    ], ids=["header_only", "no_end", "record_after_the_end", "two_ends"])
+    def test_log_whose_last_record_is_not_its_one_end_is_refused(self, rows, lineno, message):
+        with pytest.raises(LogFormatError, match=f"line {lineno}: {message}$"):
+            session_log_from_jsonl(session_log_to_jsonl(make_log(rows)))
+
+    @pytest.mark.parametrize("payload", [
+        {"reason": "done"}, {"reason": None}, {"reason": ""}, {"reason": [END_MAX_QUERIES]},
+        {"reason": END_MAX_QUERIES.upper()},
+    ])
+    def test_end_reason_outside_the_four_is_refused(self, payload):
+        data = session_log_to_jsonl(make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
+                                              (SESSION_ENDED, 0.0, payload)]))
+        with pytest.raises(LogFormatError, match="line 3: SessionEnded reason .* is not one "
+                                                 "of max_queries_reached, queries_exhausted"):
+            session_log_from_jsonl(data)
+
+    @pytest.mark.parametrize("reason", END_REASONS)
+    def test_each_end_reason_reads_back(self, reason):
+        log = make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
+                        (SESSION_ENDED, 0.0, {"reason": reason})])
+        restored = session_log_from_jsonl(session_log_to_jsonl(log))
+        assert restored == log and restored.end_reason == reason
+
+    def test_end_reason_is_the_last_records(self):
+        ended = (SESSION_ENDED, 0.0, {"reason": END_MAX_QUERIES})
+        assert make_log([ended]).end_reason == END_MAX_QUERIES
+        assert make_log([ended, (ANOMALY, 0.0, {"message": "m"})]).end_reason is None
+        assert make_log([]).end_reason is None
 
     @pytest.mark.parametrize("kind, payload, key", [
         (SNIPPET_VIEWED, {"rank": 1}, "doc_id"),
         (JUDGMENT_MADE, {"relevant": True, "grade": 1}, "doc_id"),
         (JUDGMENT_MADE, {"doc_id": "d", "grade": 1}, "relevant"),
         (JUDGMENT_MADE, {"doc_id": "d", "relevant": True}, "grade"),
-    ], ids=["snippet_doc_id", "judgment_doc_id", "judgment_relevant", "judgment_grade"])
+        (SESSION_ENDED, {}, "reason"),
+    ], ids=["snippet_doc_id", "judgment_doc_id", "judgment_relevant", "judgment_grade",
+            "end_reason"])
     def test_payload_without_a_key_evaluation_reads(self, kind, payload, key):
         data = session_log_to_jsonl(make_log([(QUERY_ISSUED, 1.0, {"query": "q"}),
                                               (kind, 1.0, payload)]))
