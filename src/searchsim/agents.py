@@ -211,7 +211,7 @@ class LLMUser:
 
 # --- prompt assembly ----------------------------------------------------------
 
-def _context(user: LLMUser, summaries: bool = True) -> dict[str, str]:
+def _context(user: LLMUser) -> dict[str, str]:
     """The topic and summary placeholders of the user's prompts, labelled or empty."""
     topic = user.topic
     full = user.kind not in TITLE_ONLY_KINDS
@@ -222,7 +222,7 @@ def _context(user: LLMUser, summaries: bool = True) -> dict[str, str]:
         "narrative": f"Narrative: {topic.narrative}\n" if full and topic.narrative else "",
     }
     for side, wanted in zip(("relevant", "irrelevant"), SUMMARY_SIDES[user.kind]):
-        summary = wanted and summaries and getattr(user.state, f"{side}_summary")
+        summary = wanted and getattr(user.state, f"{side}_summary")
         values[f"{side}_summary"] = (
             f"Summary of the results you previously judged {side}:\n{summary}\n"
             if summary else "")
@@ -236,9 +236,9 @@ def _messages(templates: PromptTemplates, name: str,
 
 
 def build_initial_queries_prompt(user: LLMUser, n_queries: int) -> tuple[ChatMessage, ...]:
-    # no judgment precedes the initial queries, so no summary enters
+    # run_session builds it before any judgment, so both summaries are empty
     return _messages(user.templates, "initial_queries",
-                     {**_context(user, summaries=False), "n_queries": str(n_queries)})
+                     {**_context(user), "n_queries": str(n_queries)})
 
 
 def build_judge_prompt(user: LLMUser, document_text: str) -> tuple[ChatMessage, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .corpus import (
     parse_topics,
     parse_trectext,
 )
-from .index import DEFAULT_B, DEFAULT_K1, ENGLISH_STOPWORDS, InvertedIndex
+from .index import DEFAULT_B, DEFAULT_K1, ENGLISH_STOPWORDS, InvertedIndex, check_bm25_parameters
 from .llm import BackendConfig, HttpBackend, ScriptedBackend, load_reply_table
 from .session import (
     CampaignError,
@@ -51,12 +50,12 @@ def _convert(value, key: str, convert):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _finite(value) -> float:
-    """``value`` as a finite float >= 0, as CostModel and BM25's k1 take it."""
-    value = float(value)
-    if not 0 <= value < math.inf:
-        raise ValueError(f"must be a finite number >= 0, got {value}")
-    return value
+def _checked(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises is a ConfigError led by ``section.``"""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 _JSON_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
@@ -71,12 +70,13 @@ def _typed(value, key: str, kind: type):
 
 
 def _given(cls, opts: dict, suffix: str = "") -> dict:
-    """The values ``opts`` sets for fields of dataclass ``cls``, keyed by field name.
+    """The values ``opts`` sets for fields of dataclass ``cls``, keyed by field
+    name and taken out of ``opts``.
 
     A field's key in ``opts`` is its name without ``suffix``; ``cls`` holds the
     defaults of the fields ``opts`` leaves out.
     """
-    return {f.name: opts[f.name.removesuffix(suffix)] for f in fields(cls)
+    return {f.name: opts.pop(f.name.removesuffix(suffix)) for f in fields(cls)
             if f.name.removesuffix(suffix) in opts}
 
 
@@ -128,37 +128,37 @@ class CampaignConfig:
             p = Path(_typed(value, key, str))
             return p if p.is_absolute() else base / p
 
-        collection, index_opts, session_opts, costs, llm_opts, persona_opts = (
-            _typed(raw.get(name, {}), name, dict)
-            for name in ("collection", "index", "session", "costs", "llm", "persona"))
+        # each read takes its key out, so what is left at the end is unknown
+        sections = {name: _typed(raw.pop(name, {}), name, dict)
+                    for name in ("collection", "index", "session", "costs", "llm", "persona")}
+        collection, index_opts, session_opts, costs, llm_opts, persona_opts = sections.values()
         for key in ("corpus", "topics", "qrels"):
             if key not in collection:
                 raise ConfigError(f"config is missing collection.{key}")
-        field_map = collection.get("field_map")
+        field_map = collection.pop("field_map", None)
         if field_map is not None:
             for name, value in _typed(field_map, "collection.field_map", dict).items():
                 _typed(value, f"collection.field_map.{name}", str)
-        users = _typed(raw.get("users", ["FTTC"]), "users", list)
+        users = _typed(raw.pop("users", ["FTTC"]), "users", list)
         try:
             users = [UserKind(u) for u in users]
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
-        k1 = _convert(index_opts.get("k1", DEFAULT_K1), "index.k1", _finite)
-        b = _convert(index_opts.get("b", DEFAULT_B), "index.b", float)
-        if not 0 <= b <= 1:
-            raise ConfigError(f"index.b must be a number in [0, 1], got {b}")
-        campaign_seed = _convert(raw.get("campaign_seed", 0), "campaign_seed", int)
-        anomaly_threshold = _convert(raw.get("anomaly_threshold", 0), "anomaly_threshold", int)
+        k1, b = (_convert(index_opts.pop(name, default), f"index.{name}", float)
+                 for name, default in (("k1", DEFAULT_K1), ("b", DEFAULT_B)))
+        _checked("index", check_bm25_parameters, k1, b)
+        campaign_seed = _convert(raw.pop("campaign_seed", 0), "campaign_seed", int)
+        anomaly_threshold = _convert(raw.pop("anomaly_threshold", 0), "anomaly_threshold", int)
         if anomaly_threshold < 0:
             raise ConfigError(f"anomaly_threshold must be an integer >= 0, got {anomaly_threshold}")
         llm_values = _given(BackendConfig, llm_opts)
         for name, convert in (("timeout", float), ("retries", int)):
             if name in llm_values:
                 llm_values[name] = _convert(llm_values[name], f"llm.{name}", convert)
-        try:
-            llm = BackendConfig(**llm_values)
-        except ValueError as exc:  # each message starts with the field name
-            raise ConfigError(f"llm.{exc}") from exc
+        llm = _checked("llm", BackendConfig, **llm_values)
+        cost_model = _checked("costs", CostModel, **{
+            name: _convert(value, f"costs.{name.removesuffix('_cost')}", float)
+            for name, value in _given(CostModel, costs, "_cost").items()})
         try:
             policy_opts = _given(SessionPolicy, session_opts)
             if "p_random" in policy_opts:
@@ -168,36 +168,38 @@ class CampaignConfig:
                 policy_opts["stop_rule"] = SnippetStopRule(
                     **_typed(policy_opts["stop_rule"], "session.stop_rule", dict))
             policy = SessionPolicy(**policy_opts)
-            cost_model = CostModel(**{
-                name: _convert(value, f"costs.{name.removesuffix('_cost')}", _finite)
-                for name, value in _given(CostModel, costs, "_cost").items()})
             persona = Persona(**{name: _typed(value, f"persona.{name}", str)
                                  for name, value in _given(Persona, persona_opts).items()})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(
-            corpus_path=_path(collection["corpus"], "collection.corpus"),
-            topics_path=_path(collection["topics"], "collection.topics"),
-            qrels_path=_path(collection["qrels"], "collection.qrels"),
-            corpus_format=collection.get("format", "trectext"),
+        config = cls(
+            corpus_path=_path(collection.pop("corpus"), "collection.corpus"),
+            topics_path=_path(collection.pop("topics"), "collection.topics"),
+            qrels_path=_path(collection.pop("qrels"), "collection.qrels"),
+            corpus_format=collection.pop("format", "trectext"),
             field_map=field_map,
-            collection_name=collection.get("name", "collection"),
-            stopwords=_typed(index_opts.get("stopwords", False), "index.stopwords", bool),
-            stem=_typed(index_opts.get("stem", False), "index.stem", bool),
+            collection_name=collection.pop("name", "collection"),
+            stopwords=_typed(index_opts.pop("stopwords", False), "index.stopwords", bool),
+            stem=_typed(index_opts.pop("stem", False), "index.stem", bool),
             k1=k1,
             b=b,
             users=users,
             policy=policy,
             cost_model=cost_model,
-            backend_kind=llm_opts.get("backend", BACKEND_SCRIPTED),
-            reply_table_path=_path(llm_opts.get("reply_table"), "llm.reply_table"),
+            backend_kind=llm_opts.pop("backend", BACKEND_SCRIPTED),
+            reply_table_path=_path(llm_opts.pop("reply_table", None), "llm.reply_table"),
             llm=llm,
-            templates_dir=_path(raw.get("templates_dir"), "templates_dir"),
+            templates_dir=_path(raw.pop("templates_dir", None), "templates_dir"),
             persona=persona,
             campaign_seed=campaign_seed,
             anomaly_threshold=anomaly_threshold,
-            output_dir=Path(_typed(raw.get("output_dir", "out"), "output_dir", str)),
+            output_dir=Path(_typed(raw.pop("output_dir", "out"), "output_dir", str)),
         )
+        unknown = [*raw, *(f"{name}.{key}" for name, section in sections.items()
+                           for key in section)]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        return config
 
     # --- validation ------------------------------------------------------------
 

@@ -217,7 +217,8 @@ def parse_topics(data: bytes, *, report: ParseReport | None = None) -> list[Topi
 
     Sections may be left unclosed (the de-facto convention); each runs to the
     next section tag. Leading labels such as "Number:" are stripped
-    case-insensitively and whitespace is normalized.
+    case-insensitively and whitespace is normalized. A block without a
+    ``<num>`` or a title is skipped and counted in ``report``.
     """
     report = report if report is not None else ParseReport()
     topics: list[Topic] = []
@@ -232,9 +233,10 @@ def parse_topics(data: bytes, *, report: ParseReport | None = None) -> list[Topi
             sections[name] = _norm_ws(_strip_label(name, raw.strip()))
         topic_id = sections.get("num", "")
         title = sections.get("title", "")
-        if not title:
+        if not (topic_id and title):
             report.skipped += 1
-            report.note(f"skipped topic {topic_id or '<unnumbered>'}: no title")
+            report.note(f"skipped topic {topic_id or '<unnumbered>'}: "
+                        f"no {'title' if topic_id else '<num>'}")
             continue
         topics.append(Topic(topic_id=topic_id, title=title,
                             description=sections.get("desc") or None,

@@ -73,6 +73,14 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None, stem: bool = Fa
     return tokens
 
 
+def check_bm25_parameters(k1: float, b: float) -> None:
+    """Refuse a BM25 ``k1`` or ``b`` out of range, naming it first in the ValueError."""
+    if not 0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be a finite number >= 0, got {k1!r}")
+    if not 0 <= b <= 1:
+        raise ValueError(f"b must be a number in [0, 1], got {b!r}")
+
+
 @dataclass
 class InvertedIndex:
     """Postings and documents plus the BM25 options fixed at build time.
@@ -105,10 +113,7 @@ class InvertedIndex:
     _norms: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.k1 < math.inf:
-            raise ValueError(f"k1 must be a finite number >= 0, got {self.k1!r}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"b must be a number in [0, 1], got {self.b!r}")
+        check_bm25_parameters(self.k1, self.b)
         if self.doc_ids is None:
             self.doc_ids = [d.doc_id for d in self.documents]
         self.n_docs = len(self.doc_lengths)
@@ -293,27 +298,8 @@ def make_snippet(document: Document, query: str, max_chars: int = 160) -> str:
 
 def _first_query_token(body: str, qterms: set[str]) -> tuple[int, int]:
     """Span of the first body token equal to a query term, case-insensitively;
-    (0, 0) when none is."""
-    if not qterms:
-        return 0, 0
-    if body.isascii():
-        # ASCII lowercasing keeps every position and tokens are [A-Za-z0-9]
-        # runs, so a term found in the lowered body with no letter or digit on
-        # either side is a whole token at the same position in the body.
-        lowered = body.lower()
-        best_start = best_end = len(body)
-        for term in qterms:
-            start = lowered.find(term)
-            while 0 <= start < best_start:
-                end = start + len(term)
-                if ((start == 0 or not lowered[start - 1].isalnum())
-                        and (end == len(lowered) or not lowered[end].isalnum())):
-                    best_start, best_end = start, end
-                    break
-                start = lowered.find(term, start + 1)
-        return (best_start, best_end) if best_start < len(body) else (0, 0)
-    # str.lower may change the length or depend on context here ('İ', final
-    # 'Σ'), so each token is lowered on its own
+    (0, 0) when none is. Each token is lowered on its own, because lowering
+    the whole body may change its length or depend on context ('İ', final 'Σ')."""
     for m in _TOKEN_RE.finditer(body):
         if m.group(0).lower() in qterms:
             return m.start(), m.end()

@@ -95,8 +95,10 @@ class BackendConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a string, not {type(value).__name__}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout!r}")
+        # a socket refuses a longer timeout, but only when a request is sent
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, "
+                             f"got {self.timeout!r}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries!r}")
         if self.max_tokens is not None and (isinstance(self.max_tokens, bool)

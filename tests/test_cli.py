@@ -338,6 +338,17 @@ class TestCmdSimulate:
         assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "logs").exists()
 
+    def test_topic_without_num_is_skipped_and_counted(self, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_bytes(fixture_path("topics.txt").read_bytes()
+                           + b"\n<top>\n<title> no number here\n</top>\n")
+        config_path = write_config(tmp_path, users=("RND",))
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["collection"]["topics"] = str(topics)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_pipeline(tmp_path, config_path)
+        assert "topics=3 skipped=1\n" in capsys.readouterr().out
+
     def test_parse_counts_are_printed(self, tmp_path, capsys):
         topics = tmp_path / "topics.txt"
         topics.write_bytes(fixture_path("topics.txt").read_bytes()

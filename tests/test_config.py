@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from searchsim.agents import Persona
 from searchsim.cli import main
 from searchsim.config import CampaignConfig, ConfigError
-from searchsim.fixtures import fixture_path
+from searchsim.fixtures import CAMPAIGN, fixture_path
 from searchsim.session import CostModel, SessionPolicy, SnippetStopRule
 
 
@@ -98,6 +99,46 @@ class TestFromFile:
             assert main([command, "--config", str(path)]) == 1
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e12], ids=["infinity", "1e12"])
+    def test_timeout_a_socket_cannot_hold_is_refused(self, tmp_path, capsys, timeout):
+        raw = minimal_raw()
+        raw["output_dir"] = str(tmp_path / "out")
+        raw["llm"] = {"timeout": timeout}
+        path = write_raw(tmp_path, raw)
+        for command in ("index", "simulate"):
+            assert main([command, "--config", str(path)]) == 1
+            assert "llm.timeout must be in (0, " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # a misspelled key at the top level and in each section the loader reads
+    @pytest.mark.parametrize("key", ["campaing_seed", "collection.topic", "index.k_1",
+                                     "session.max_querys", "costs.querry", "llm.time_out",
+                                     "persona.role"])
+    def test_unknown_key_is_refused_by_name(self, tmp_path, capsys, key):
+        raw = minimal_raw()
+        raw["output_dir"] = str(tmp_path / "out")
+        *section, name = key.split(".")
+        (raw.setdefault(section[0], {}) if section else raw)[name] = 1
+        path = write_raw(tmp_path, raw)
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {re.escape(key)}$"):
+            CampaignConfig.from_file(path)
+        for command in ("index", "simulate"):
+            assert main([command, "--config", str(path)]) == 1
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_misspelled_key_is_named(self, tmp_path):
+        raw = json.loads(fixture_path(CAMPAIGN).read_text(encoding="utf-8"))
+        for name in ("corpus", "topics", "qrels"):
+            raw["collection"][name] = str(fixture_path(raw["collection"][name]))
+        CampaignConfig.from_file(write_raw(tmp_path, raw))
+        raw["session"]["max_querys"] = 2
+        raw["costs"]["querry"] = 99
+        raw["campaing_seed"] = 7
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown config keys: campaing_seed, session.max_querys, costs.querry")):
+            CampaignConfig.from_file(write_raw(tmp_path, raw))
 
     def test_default_stop_rule_reaches_at_most_the_results(self, tmp_path):
         raw = minimal_raw()

@@ -192,6 +192,13 @@ class TestParseTopics:
         assert report.skipped == 1
         assert report.messages == ["skipped topic 55: no title"]
 
+    def test_block_without_num_is_skipped_and_counted(self):
+        data = b"<top><title> no number here </top><top><num>2<title>ok</top>"
+        report = ParseReport()
+        assert [t.topic_id for t in parse_topics(data, report=report)] == ["2"]
+        assert report.skipped == 1
+        assert report.messages == ["skipped topic <unnumbered>: no <num>"]
+
     def test_fixture_topic_count_in_order(self, fixture_collection):
         _, topics, _ = fixture_collection
         assert [t.topic_id for t in topics] == ["801", "802", "803"]

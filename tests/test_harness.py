@@ -81,3 +81,25 @@ def test_check_evaluation_finds_no_problems(harness, tmp_path):
     assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
     assert main(["evaluate", "--logs", str(out / "logs")]) == 0
     assert checks.check_evaluation(out / "logs", out / "eval") == []
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    saved = list(sys.path)  # run.py puts its own directory on the path
+    sys.path.insert(0, str(BENCHMARK))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path[:] = saved
+
+
+@pytest.mark.parametrize("backend", ["scripted", "http"])
+def test_benchmark_configs_load(bench_run, tmp_path, backend):
+    endpoint = "http://127.0.0.1:9/v1/chat/completions" if backend == "http" else None
+    for name, workload in bench_run.WORKLOADS.items():
+        path = tmp_path / f"{name}.json"
+        bench_run.write_config(path, workload, 1, backend, endpoint)
+        loaded = config.CampaignConfig.from_file(path)
+        assert [kind.value for kind in loaded.users] == list(workload.users), name
+        assert loaded.policy.max_queries == workload.max_queries, name
+        assert loaded.backend_kind == backend, name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import socket
@@ -389,6 +390,15 @@ class TestHttpBackend:
         assert wire["n"] == 1
         assert wire["messages"] == [{"role": "user", "content": "hello"}]
         assert "tag" not in wire
+
+    def test_the_longest_timeout_accepted_is_one_a_request_can_use(self, mock_server):
+        url, _ = mock_server
+        longest = BackendConfig(endpoint=url, model="m", retries=0,
+                                timeout=threading.TIMEOUT_MAX)
+        assert HttpBackend(longest).complete(request_of("hi")).text == "mocked completion text"
+        for timeout in (math.nextafter(threading.TIMEOUT_MAX, math.inf), math.inf, math.nan):
+            with pytest.raises(ValueError, match="timeout must be in"):
+                replace(longest, timeout=timeout)
 
     def test_max_tokens_forwarded_when_set(self, mock_server):
         url, handler = mock_server

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import signal
 import sys
 import threading
@@ -21,7 +22,7 @@ from searchsim.agents import LLM_KINDS, SUMMARY_SIDES, KnowledgeState, UserKind
 from searchsim.config import CampaignConfig
 from searchsim.corpus import Document, QrelSet, Topic, parse_qrels
 from searchsim.fixtures import CAMPAIGN, fixture_path
-from searchsim.index import InvertedIndex, build_index
+from searchsim.index import InvertedIndex, build_index, tokenize
 from searchsim.llm import (
     TAG_RELEVANCE_JUDGMENT,
     TAG_SUMMARIZATION,
@@ -60,7 +61,7 @@ from searchsim.session import (
     write_session_log,
 )
 from backends import CapturingBackend, SlowBackend
-from oracles import make_log
+from oracles import make_log, oracle_snippet
 
 # Reply-table keys anchored on fixed phrases of the default templates.
 ANSWER_YES = {"Would this text be useful": "Yes",
@@ -295,6 +296,43 @@ class TestRunSessionTraces:
                                  else []), (topic.topic_id, kind)
                 llm_rows += len(viewed) if kind in LLM_KINDS else 0
         assert llm_rows > 0
+
+    def test_non_ascii_snippets_equal_the_token_oracle(self, monkeypatch):
+        filler = "plain words before the term of interest " * 3
+        terms = ("Ångström", "résumé", "ΣΟΦΟΣ", "İstanbul")
+        docs = [Document(doc_id=f"d{i}", title=f"{term} notes",
+                         body=f"{filler}{term} and {terms[i - 1]}, {filler}")
+                for i, term in enumerate(terms)]
+        index = build_index(docs)
+        topics = [Topic(topic_id="1", title="Ångström résumé"),
+                  Topic(topic_id="2", title="ΣΟΦΟΣ İstanbul")]
+        qrels = parse_qrels(b"1 0 d0 2\n1 0 d1 1\n2 0 d2 2\n2 0 d3 1\n")
+        policy = SessionPolicy(max_queries=2, page_size=4, queries_per_session=2,
+                               snippet_max_chars=60)
+        calls = []
+        real = searchsim.index.make_snippet
+
+        def recording(document, query, max_chars=160):
+            snippet = real(document, query, max_chars)
+            calls.append((document.body, query, max_chars, snippet))
+            return snippet
+
+        monkeypatch.setattr(searchsim.index, "make_snippet", recording)
+        runs = []
+        for workers in (1, 2):
+            backend = backend_with(["ångström résumé", "ΣΟΦΟΣ İstanbul"], ANSWER_YES)
+            logs = run_campaign(topics, [UserKind.FTTC, UserKind.CRF], index, qrels,
+                                policy=policy, backend=backend, workers=workers)
+            runs.append([session_log_to_jsonl(log) for log in logs])
+        assert runs[0] == runs[1]
+        assert calls and all(len(body) > max_chars for body, _, max_chars, _ in calls)
+        first_matches = set()
+        for body, query, max_chars, snippet in calls:
+            assert snippet == oracle_snippet(body, query, max_chars), (body, query)
+            qterms = set(tokenize(query))
+            first_matches.add(next((m.group(0) for m in re.finditer(r"[^\W_]+", body)
+                                    if m.group(0).lower() in qterms), None))
+        assert any(token and not token.isascii() for token in first_matches)
 
 
 class TestSummaryRequests:
