@@ -89,8 +89,9 @@ class Persona:
     instruction_preamble: str = DEFAULT_PERSONA_PREAMBLE
 
     def __post_init__(self):
-        if not self.role_name.strip() or not self.instruction_preamble.strip():
-            raise ValueError("persona fields must be non-empty")
+        for name in ("role_name", "instruction_preamble"):
+            if not getattr(self, name).strip():
+                raise ValueError(f"{name} must be non-empty")
 
 
 class QueryGenerationError(RuntimeError):

@@ -42,42 +42,48 @@ class ConfigError(ValueError):
     pass
 
 
-def _convert(value, key: str, convert):
-    """``convert(value)``; a value it refuses is a ConfigError naming ``key``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+_REQUIRED = object()
+_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string",
+          bool: "true or false", float: "a number", int: "a number"}
 
 
-def _checked(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a ValueError it raises is a ConfigError led by ``section.``"""
+def _read(opts: dict, section: str, key: str, kind: type, default=_REQUIRED):
+    """``key`` taken out of the JSON object ``opts`` at ``section``, as a ``kind``.
+
+    Null is taken only where ``default`` is None. A number is ``kind(value)``
+    (``"7"`` converts, ``int`` truncates), never true or false.
+    """
+    path = f"{section}.{key}" if section else key
+    if key not in opts:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing {path}")
+        return default
+    value = opts.pop(key)
+    if value is None and default is None:
+        return None
+    number = kind in (int, float)
+    if number and isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    elif not number and isinstance(value, kind):
+        return value
+    raise ConfigError(f"{path} must be {_KINDS[kind]}, "
+                      f"not {json.dumps(value) if number else type(value).__name__}")
+
+
+def _build(cls, opts: dict, section: str, kinds: dict, suffix: str = ""):
+    """Dataclass ``cls`` of the fields ``opts`` sets (keyed by name without
+    ``suffix``), each taken out; ``kinds`` types some, ``cls`` checks all and
+    starts a refusal with the field name, so it reads ``section.field ...``."""
+    values = {f.name: _read(opts, section, key, kinds[f.name], f.default)
+              if f.name in kinds else opts.pop(key)
+              for f in fields(cls) if (key := f.name.removesuffix(suffix)) in opts}
     try:
-        return make(*args, **kwargs)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
-
-
-_JSON_NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string",
-               bool: "true or false"}
-
-
-def _typed(value, key: str, kind: type):
-    """``value`` if it is a ``kind``; otherwise a ConfigError naming ``key``."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key} must be {_JSON_NAMES[kind]}, not {type(value).__name__}")
-    return value
-
-
-def _given(cls, opts: dict, suffix: str = "") -> dict:
-    """The values ``opts`` sets for fields of dataclass ``cls``, keyed by field
-    name and taken out of ``opts``.
-
-    A field's key in ``opts`` is its name without ``suffix``; ``cls`` holds the
-    defaults of the fields ``opts`` leaves out.
-    """
-    return {f.name: opts.pop(f.name.removesuffix(suffix)) for f in fields(cls)
-            if f.name.removesuffix(suffix) in opts}
 
 
 @dataclass
@@ -114,87 +120,66 @@ class CampaignConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignConfig":
+        """The campaign a JSON config file sets. A value of the wrong kind, or
+        one its owner refuses, is a ConfigError led by its key path
+        (``session.stop_rule.kind must be ...``). Each key is taken out as it
+        is read, and the keys left at the end are refused together as unknown."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        raw = _typed(raw, "config", dict)
-        base = path.parent
+        raw = _read({"config": raw}, "", "config", dict)
 
-        def _path(value, key: str) -> Path | None:
-            if value is None:
-                return None
-            p = Path(_typed(value, key, str))
-            return p if p.is_absolute() else base / p
+        def _path(opts: dict, section: str, key: str, default=_REQUIRED) -> Path | None:
+            value = _read(opts, section, key, str, default)
+            return None if value is None else path.parent / value
 
-        # each read takes its key out, so what is left at the end is unknown
-        sections = {name: _typed(raw.pop(name, {}), name, dict)
+        sections = {name: _read(raw, "", name, dict, {})
                     for name in ("collection", "index", "session", "costs", "llm", "persona")}
-        collection, index_opts, session_opts, costs, llm_opts, persona_opts = sections.values()
-        for key in ("corpus", "topics", "qrels"):
-            if key not in collection:
-                raise ConfigError(f"config is missing collection.{key}")
-        field_map = collection.pop("field_map", None)
-        if field_map is not None:
-            for name, value in _typed(field_map, "collection.field_map", dict).items():
-                _typed(value, f"collection.field_map.{name}", str)
-        users = _typed(raw.pop("users", ["FTTC"]), "users", list)
+        collection, index, session, costs, llm, persona = sections.values()
+        field_map = _read(collection, "collection", "field_map", dict, None)
+        for name in list(field_map or ()):  # each is taken out and put back, in order
+            field_map[name] = _read(field_map, "collection.field_map", name, str)
+        users = _read(raw, "", "users", list, ["FTTC"])
         try:
             users = [UserKind(u) for u in users]
         except ValueError as exc:
             raise ConfigError(f"unknown user kind: {exc}") from exc
-        k1, b = (_convert(index_opts.pop(name, default), f"index.{name}", float)
-                 for name, default in (("k1", DEFAULT_K1), ("b", DEFAULT_B)))
-        _checked("index", check_bm25_parameters, k1, b)
-        campaign_seed = _convert(raw.pop("campaign_seed", 0), "campaign_seed", int)
-        anomaly_threshold = _convert(raw.pop("anomaly_threshold", 0), "anomaly_threshold", int)
-        if anomaly_threshold < 0:
-            raise ConfigError(f"anomaly_threshold must be an integer >= 0, got {anomaly_threshold}")
-        llm_values = _given(BackendConfig, llm_opts)
-        for name, convert in (("timeout", float), ("retries", int)):
-            if name in llm_values:
-                llm_values[name] = _convert(llm_values[name], f"llm.{name}", convert)
-        llm = _checked("llm", BackendConfig, **llm_values)
-        cost_model = _checked("costs", CostModel, **{
-            name: _convert(value, f"costs.{name.removesuffix('_cost')}", float)
-            for name, value in _given(CostModel, costs, "_cost").items()})
-        try:
-            policy_opts = _given(SessionPolicy, session_opts)
-            if "p_random" in policy_opts:
-                policy_opts["p_random"] = _convert(policy_opts["p_random"],
-                                                   "session.p_random", float)
-            if "stop_rule" in policy_opts:
-                policy_opts["stop_rule"] = SnippetStopRule(
-                    **_typed(policy_opts["stop_rule"], "session.stop_rule", dict))
-            policy = SessionPolicy(**policy_opts)
-            persona = Persona(**{name: _typed(value, f"persona.{name}", str)
-                                 for name, value in _given(Persona, persona_opts).items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        if "stop_rule" in session:  # SessionPolicy takes the built rule in its object's place
+            rule = sections["session.stop_rule"] = _read(session, "session", "stop_rule", dict)
+            session["stop_rule"] = _build(SnippetStopRule, rule, "session.stop_rule", {})
         config = cls(
-            corpus_path=_path(collection.pop("corpus"), "collection.corpus"),
-            topics_path=_path(collection.pop("topics"), "collection.topics"),
-            qrels_path=_path(collection.pop("qrels"), "collection.qrels"),
-            corpus_format=collection.pop("format", "trectext"),
+            corpus_path=_path(collection, "collection", "corpus"),
+            topics_path=_path(collection, "collection", "topics"),
+            qrels_path=_path(collection, "collection", "qrels"),
+            corpus_format=_read(collection, "collection", "format", str, "trectext"),
             field_map=field_map,
-            collection_name=collection.pop("name", "collection"),
-            stopwords=_typed(index_opts.pop("stopwords", False), "index.stopwords", bool),
-            stem=_typed(index_opts.pop("stem", False), "index.stem", bool),
-            k1=k1,
-            b=b,
+            collection_name=_read(collection, "collection", "name", str, "collection"),
+            stopwords=_read(index, "index", "stopwords", bool, False),
+            stem=_read(index, "index", "stem", bool, False),
+            k1=_read(index, "index", "k1", float, DEFAULT_K1),
+            b=_read(index, "index", "b", float, DEFAULT_B),
             users=users,
-            policy=policy,
-            cost_model=cost_model,
-            backend_kind=llm_opts.pop("backend", BACKEND_SCRIPTED),
-            reply_table_path=_path(llm_opts.pop("reply_table", None), "llm.reply_table"),
-            llm=llm,
-            templates_dir=_path(raw.pop("templates_dir", None), "templates_dir"),
-            persona=persona,
-            campaign_seed=campaign_seed,
-            anomaly_threshold=anomaly_threshold,
-            output_dir=Path(_typed(raw.pop("output_dir", "out"), "output_dir", str)),
+            policy=_build(SessionPolicy, session, "session", {"p_random": float}),
+            cost_model=_build(CostModel, costs, "costs", {f.name: float for f in fields(CostModel)},
+                              "_cost"),
+            backend_kind=_read(llm, "llm", "backend", str, BACKEND_SCRIPTED),
+            reply_table_path=_path(llm, "llm", "reply_table", None),
+            llm=_build(BackendConfig, llm, "llm", {"timeout": float, "retries": int}),
+            templates_dir=_path(raw, "", "templates_dir", None),
+            persona=_build(Persona, persona, "persona", {f.name: str for f in fields(Persona)}),
+            campaign_seed=_read(raw, "", "campaign_seed", int, 0),
+            anomaly_threshold=_read(raw, "", "anomaly_threshold", int, 0),
+            output_dir=Path(_read(raw, "", "output_dir", str, "out")),
         )
+        try:
+            check_bm25_parameters(config.k1, config.b)
+        except ValueError as exc:
+            raise ConfigError(f"index.{exc}") from exc
+        if config.anomaly_threshold < 0:
+            raise ConfigError(f"anomaly_threshold must be an integer >= 0, "
+                              f"got {config.anomaly_threshold}")
         unknown = [*raw, *(f"{name}.{key}" for name, section in sections.items()
                            for key in section)]
         if unknown:

@@ -387,9 +387,7 @@ class _StoredDocuments(Sequence[Document]):
     def __len__(self) -> int:
         return len(self._doc_ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> Document:
         i = range(len(self))[i]
         # reading a mapped page past the end of a file cut short in place is
         # SIGBUS, and a file written over in place holds another index's text
@@ -434,7 +432,13 @@ def _read_index(data: bytes | mmap.mmap) -> InvertedIndex:
         if type(doc_ids) is not list or not all(type(doc_id) is str and doc_id.strip()
                                                 for doc_id in doc_ids):
             raise ValueError("doc_ids must be a list of non-blank strings")
-        stopwords = header["stopwords"]
+        stopwords, stem, k1, b = (header[key] for key in ("stopwords", "stem", "k1", "b"))
+        # bool() and float() would take "false" for true and true for 1.0
+        if type(stem) is not bool or {type(k1), type(b)} - {int, float}:
+            raise ValueError("stem must be true or false, and k1 and b JSON numbers")
+        if stopwords is not None and (type(stopwords) is not list
+                                      or not all(type(word) is str for word in stopwords)):
+            raise ValueError("stopwords must be null or a list of strings")
         typecode, itemsize = header["typecode"], header["itemsize"]
         if typecode not in _TYPECODES or array.array(typecode).itemsize != itemsize:
             raise ValueError(f"unknown block typecode {typecode!r} of {itemsize!r} bytes")
@@ -479,9 +483,9 @@ def _read_index(data: bytes | mmap.mmap) -> InvertedIndex:
             doc_lengths=values[:n_docs].tolist(),
             documents=_StoredDocuments(doc_ids, text, offsets),
             stopwords=frozenset(stopwords) if stopwords else None,
-            stem=bool(header["stem"]),
-            k1=float(header["k1"]),
-            b=float(header["b"]),
+            stem=stem,
+            k1=float(k1),
+            b=float(b),
             doc_ids=doc_ids,
         )
         if len(index._by_id) != n_docs:

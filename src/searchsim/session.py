@@ -111,8 +111,9 @@ class SnippetStopRule:
 
     def __post_init__(self):
         if self.kind not in (FIXED_DEPTH, CONSECUTIVE_IRRELEVANT):
-            raise ValueError(f"unknown stop rule {self.kind!r}")
-        _check_int("stop rule value", self.value)
+            raise ValueError(f"kind must be {FIXED_DEPTH!r} or {CONSECUTIVE_IRRELEVANT!r}, "
+                             f"got {self.kind!r}")
+        _check_int("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,8 @@ class SessionPolicy:
         if self.stop_rule is None:
             object.__setattr__(self, "stop_rule", SnippetStopRule(FIXED_DEPTH, min(10, reachable)))
         if self.stop_rule.kind == FIXED_DEPTH and self.stop_rule.value > reachable:
-            raise ValueError("fixed depth exceeds the reachable result count")
+            raise ValueError(f"stop_rule.value {self.stop_rule.value} exceeds the {reachable} "
+                             "results that page_size and max_pages_per_query reach")
 
 
 @dataclass

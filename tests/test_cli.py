@@ -280,6 +280,18 @@ class TestCmdSimulate:
         ("session.p_random", "often"),
         ("persona.role_name", 5),
         ("persona.instruction_preamble", ["be brief"]),
+        # true is not a number, though float() and int() read it as 1
+        *((key, True) for key in ("index.k1", "index.b", "costs.query", "llm.timeout",
+                                  "llm.retries", "session.p_random", "campaign_seed",
+                                  "anomaly_threshold")),
+        ("campaign_seed", float("inf")),
+        ("collection.name", 5),
+        ("collection.format", 5),
+        ("llm.backend", 5),
+        # the owner's refusal, led by the key path
+        ("session.stop_rule.kind", "bogus"),
+        ("session.stop_rule.value", 50),
+        ("persona.role_name", " "),
     ])
     def test_bad_config_type_fails_validation_at_load(self, tmp_path, capsys, key, value):
         config_path = write_config(tmp_path)
@@ -293,7 +305,7 @@ class TestCmdSimulate:
         for command in ("index", "simulate"):
             capsys.readouterr()
             assert main([command, "--config", str(config_path)]) == 1
-            assert key in capsys.readouterr().err
+            assert f"error: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text, message", [
         ("judge", None, "templates: missing templates: judge"),

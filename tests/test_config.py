@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -114,12 +115,15 @@ class TestFromFile:
     # a misspelled key at the top level and in each section the loader reads
     @pytest.mark.parametrize("key", ["campaing_seed", "collection.topic", "index.k_1",
                                      "session.max_querys", "costs.querry", "llm.time_out",
-                                     "persona.role"])
+                                     "persona.role", "session.stop_rule.kinds"])
     def test_unknown_key_is_refused_by_name(self, tmp_path, capsys, key):
         raw = minimal_raw()
         raw["output_dir"] = str(tmp_path / "out")
-        *section, name = key.split(".")
-        (raw.setdefault(section[0], {}) if section else raw)[name] = 1
+        *sections, name = key.split(".")
+        target = raw
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[name] = 1
         path = write_raw(tmp_path, raw)
         with pytest.raises(ConfigError, match=f"^unknown config keys: {re.escape(key)}$"):
             CampaignConfig.from_file(path)
@@ -196,6 +200,14 @@ class TestValidate:
         config = CampaignConfig.from_file(fixture_path("campaign.json"))
         assert config.validate() == []
         assert len(config.users) == 8
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("\n## Config file\n", 1)[1].split("```jsonc\n", 1)[1]
+        raw = json.loads(re.sub(r"\s*//.*", "", example.split("\n```", 1)[0]))
+        for name in ("corpus", "topics", "qrels"):
+            raw["collection"][name] = str(fixture_path(raw["collection"][name]))
+        assert CampaignConfig.from_file(write_raw(tmp_path, raw)).validate() == []
 
     def test_fixture_campaign_hash_is_pinned(self):
         config = CampaignConfig.from_file(fixture_path("campaign.json"))

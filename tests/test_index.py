@@ -811,6 +811,11 @@ class TestSerialization:
         lambda data: edit_v5(data, offsets=[0, 10, 36, 36, 68, 68, 103]),
         lambda data: edit_v5(data, text=v5_parts(data)[3] + b"!"),
         lambda data: data[:data.index(b"\n") + 9],
+        lambda data: edit_v5(data, header={"stem": "false"}),
+        lambda data: edit_v5(data, header={"stopwords": "and"}),
+        lambda data: edit_v5(data, header={"stopwords": [1, 2]}),
+        lambda data: edit_v5(data, header={"k1": True}),
+        lambda data: edit_v5(data, header={"k1": "1.5"}),
     ], ids=["negative tf as 'h'", "negative doc length as 'i'",
             "more lengths than documents", "df above n_docs",
             "negative ordinal as 0xFF", "ordinal past the last document",
@@ -819,7 +824,9 @@ class TestSerialization:
             "itemsize unequal to the typecode's", "df true", "df 1.0", "df -1",
             "term listed twice", "doc_id listed twice", "blank doc_id", "descending offsets",
             "offsets not starting at 0", "offsets ending before the text",
-            "text past the last offset", "file shorter than its header says"])
+            "text past the last offset", "file shorter than its header says",
+            "stem as a string", "stopwords as a string", "stopwords as numbers", "k1 true",
+            "k1 as a string"])
     def test_invalid_values_rejected_at_load(self, toy_docs, corrupt):
         data = corrupt(saved_bytes(build_index(toy_docs)))
         with pytest.raises(IndexFormatError, match="malformed"):
