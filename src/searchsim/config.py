@@ -76,14 +76,16 @@ def _read(opts: dict, section: str, key: str, kind: type, default=_REQUIRED):
 def _build(cls, opts: dict, section: str, kinds: dict, suffix: str = ""):
     """Dataclass ``cls`` of the fields ``opts`` sets (keyed by name without
     ``suffix``), each taken out; ``kinds`` types some, ``cls`` checks all and
-    starts a refusal with the field name, so it reads ``section.field ...``."""
+    starts a refusal with the field name, which loses ``suffix`` here, so it
+    reads ``section.key ...`` (``costs.query``, not ``costs.query_cost``)."""
     values = {f.name: _read(opts, section, key, kinds[f.name], f.default)
               if f.name in kinds else opts.pop(key)
               for f in fields(cls) if (key := f.name.removesuffix(suffix)) in opts}
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+        name, space, rest = str(exc).partition(" ")
+        raise ConfigError(f"{section}.{name.removesuffix(suffix)}{space}{rest}") from exc
 
 
 @dataclass
@@ -142,10 +144,11 @@ class CampaignConfig:
         for name in list(field_map or ()):  # each is taken out and put back, in order
             field_map[name] = _read(field_map, "collection.field_map", name, str)
         users = _read(raw, "", "users", list, ["FTTC"])
-        try:
-            users = [UserKind(u) for u in users]
-        except ValueError as exc:
-            raise ConfigError(f"unknown user kind: {exc}") from exc
+        known = [kind.value for kind in UserKind]
+        for user in users:
+            if user not in known:
+                raise ConfigError(f"users must hold user kinds out of {', '.join(known)}, "
+                                  f"not {json.dumps(user)}")
         if "stop_rule" in session:  # SessionPolicy takes the built rule in its object's place
             rule = sections["session.stop_rule"] = _read(session, "session", "stop_rule", dict)
             session["stop_rule"] = _build(SnippetStopRule, rule, "session.stop_rule", {})
@@ -160,7 +163,7 @@ class CampaignConfig:
             stem=_read(index, "index", "stem", bool, False),
             k1=_read(index, "index", "k1", float, DEFAULT_K1),
             b=_read(index, "index", "b", float, DEFAULT_B),
-            users=users,
+            users=[UserKind(u) for u in users],
             policy=_build(SessionPolicy, session, "session", {"p_random": float}),
             cost_model=_build(CostModel, costs, "costs", {f.name: float for f in fields(CostModel)},
                               "_cost"),

@@ -142,8 +142,9 @@ class InvertedIndex:
         if impacts is None:
             flat = self.postings[term]
             ordinals = flat[::2]
-            # a loaded file may repeat or reorder ordinals; load_index
-            # leaves this walk to the first use of each term
+            # load_index checks only a term's last ordinal against n_docs;
+            # strictly ascending ordinals put every other one below it, so
+            # this walk, before any ordinal is read, keeps norms[] in range
             if not all(map(operator.lt, ordinals, ordinals[1:])):
                 raise IndexFormatError(f"term {term!r}: document ordinals are not "
                                        f"strictly ascending; {_REBUILD}")
@@ -466,16 +467,15 @@ def _read_index(data: bytes | mmap.mmap) -> InvertedIndex:
                              f"{len(text)} bytes of the text block")
         postings: dict[str, Sequence[int]] = {}
         start = n_docs
+        # the block cannot hold a negative value or a non-integer. A df of at
+        # least 1 gives each term an [ordinal, tf] pair, and only its last
+        # ordinal is checked here: impacts refuses ordinals that are not
+        # strictly ascending on a term's first use, before it reads any
         for term, df in zip(terms, dfs):
-            postings[term] = values[start:start + 2 * df]
+            flat = postings[term] = values[start:start + 2 * df]
             start += 2 * df
-        # the block cannot hold a negative value or a non-integer. Past the
-        # lengths it is [ordinal, tf] pairs throughout, so one strided max
-        # checks the ordinals of every term; impacts refuses ordinals that
-        # are not strictly ascending on a term's first use
-        if len(values) > n_docs and max(values[n_docs::2]) >= n_docs:
-            term = next(t for t, flat in postings.items() if max(flat[::2]) >= n_docs)
-            raise ValueError(f"term {term!r}: a document ordinal outside [0, {n_docs})")
+            if flat[-2] >= n_docs:
+                raise ValueError(f"term {term!r}: a document ordinal outside [0, {n_docs})")
         if len(postings) != len(terms):
             raise ValueError("a term is listed twice")
         index = InvertedIndex(

@@ -76,6 +76,12 @@ class Interaction(NamedTuple):
     payload: dict
 
 
+def _is_cost(value) -> bool:
+    """A finite int or float >= 0, as ``CostModel`` takes and a log holds; a
+    bool is an int, and true would be logged as a cost the reader refuses."""
+    return type(value) is not bool and isinstance(value, (int, float)) and 0 <= value < math.inf
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-action costs in seconds; defaults are configurable stand-ins."""
@@ -88,7 +94,7 @@ class CostModel:
     def __post_init__(self):
         for name in ("query_cost", "snippet_cost", "document_cost", "judgment_cost"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if not _is_cost(value):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -396,6 +402,11 @@ def run_campaign(topics: list[Topic], kinds: list[UserKind], index: InvertedInde
 _dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
 
 
+def _number(value: int | float) -> str:
+    """A finite int or float as json writes it, a subclass included."""
+    return (float.__repr__ if isinstance(value, float) else int.__repr__)(value)
+
+
 def session_log_to_jsonl(log: SessionLog) -> bytes:
     header = {
         "record": "session",
@@ -406,9 +417,12 @@ def session_log_to_jsonl(log: SessionLog) -> bytes:
         "config_hash": log.config_hash,
     }
     lines = [_dumps(header)]
-    lines += [_dumps({"record": "interaction", "seq": it.seq, "kind": it.kind,
-                      "cost": it.cost, "payload": it.payload})
-              for it in log.interactions]
+    # the line _dumps writes for {"record": "interaction", "seq": ..., "kind": ...,
+    # "cost": ..., "payload": ...}, keys sorted, with one encoder call per record:
+    # CostModel admits no bool, nan or inf as a cost, and a kind out of
+    # INTERACTION_KINDS needs no escape
+    lines += [f'{{"cost":{_number(it.cost)},"kind":"{it.kind}","payload":{_dumps(it.payload)},'
+              f'"record":"interaction","seq":{it.seq}}}' for it in log.interactions]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -493,8 +507,7 @@ def session_log_from_jsonl(data: bytes) -> SessionLog:
             # `type(seq) is int` refuses a bool
             if type(seq) is not int or seq < 0:
                 raise ValueError(f"seq must be an integer >= 0, got {seq!r}")
-            if type(cost) is bool or not isinstance(cost, (int, float)) \
-                    or not 0 <= cost < math.inf:
+            if not _is_cost(cost):
                 raise ValueError(f"cost must be a finite number >= 0, got {cost!r}")
             if seq != len(log.interactions):
                 raise ValueError(f"seq {seq} is not the record's position "

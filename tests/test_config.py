@@ -58,10 +58,13 @@ class TestFromFile:
             CampaignConfig.from_file(write_raw(tmp_path, raw))
 
     def test_unknown_user_kind(self, tmp_path):
-        raw = minimal_raw()
-        raw["users"] = ["FTTC", "SUPERUSER"]
-        with pytest.raises(ConfigError, match="SUPERUSER"):
-            CampaignConfig.from_file(write_raw(tmp_path, raw))
+        for user, shown in [("SUPERUSER", '"SUPERUSER"'), (5, "5")]:
+            raw = minimal_raw()
+            raw["users"] = ["FTTC", user]
+            with pytest.raises(ConfigError, match=re.escape(
+                    "users must hold user kinds out of RND, RND_STAR, TTT, FTTC, PRF, NRF, CRF, "
+                    f"CRF_PRIME, not {shown}")):
+                CampaignConfig.from_file(write_raw(tmp_path, raw))
 
     def test_config_must_be_an_object(self, tmp_path):
         with pytest.raises(ConfigError, match="config must be a JSON object, not list"):
@@ -94,11 +97,11 @@ class TestFromFile:
         section, name = key.split(".")
         raw[section] = {name: value}
         path = write_raw(tmp_path, raw)
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
             CampaignConfig.from_file(path)
         for command in ("index", "simulate"):
             assert main([command, "--config", str(path)]) == 1
-            assert key in capsys.readouterr().err
+            assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("timeout", [float("inf"), 1e12], ids=["infinity", "1e12"])

@@ -855,8 +855,11 @@ class TestSerialization:
                                                        "rerun `searchsim index`"):
                 index.document("d2")
 
-    @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2]],
-                             ids=["repeated ordinal", "descending ordinal"])
+    # load checks each term's last ordinal; one past n_docs before it is
+    # refused with the order
+    @pytest.mark.parametrize("apples", [[0, 2, 0, 2], [1, 1, 0, 2], [9, 1, 0, 2]],
+                             ids=["repeated ordinal", "descending ordinal",
+                                  "ordinal past the last document before the last"])
     def test_unordered_ordinals_rejected_on_first_use(self, toy_docs, apples):
         data = edit_v5(saved_bytes(build_index(toy_docs)), postings={"apples": apples})
         index = load_bytes(data)

@@ -39,6 +39,7 @@ from searchsim.session import (
     END_QUERIES_EXHAUSTED,
     END_REASONS,
     FIXED_DEPTH,
+    INTERACTION_KINDS,
     JUDGMENT_MADE,
     QUERY_ISSUED,
     SESSION_ENDED,
@@ -649,6 +650,13 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="judgment_cost must be a finite number"):
             CostModel(judgment_cost=value)
 
+    # a bool is an int, and "cost":true in a log is refused by the reader
+    @pytest.mark.parametrize("value", [True, False, "5"], ids=["true", "false", "string"])
+    def test_cost_model_rejects_what_is_not_a_number(self, value):
+        with pytest.raises(ValueError, match=f"query_cost must be a finite number >= 0, "
+                                             f"got {re.escape(repr(value))}"):
+            CostModel(query_cost=value)
+
     def test_unknown_stop_rule(self):
         with pytest.raises(ValueError):
             SnippetStopRule("coin_flip", 1)
@@ -972,7 +980,56 @@ class TestCampaign:
         assert a != derive_session_seed(0, "802", UserKind.RND)
 
 
+# strings json escapes ('"', '\\', control characters) or leaves raw under
+# ensure_ascii=False (U+2028, U+0085 and other non-ASCII text)
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u2028\u0085é中😀') | st.characters(),
+                    max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=6)
+# the payload keys the reader requires, by interaction kind
+PAYLOADS = {QUERY_ISSUED: {"query": JSON_TEXT}, SNIPPET_VIEWED: {"doc_id": JSON_TEXT},
+            DOCUMENT_VIEWED: {},
+            JUDGMENT_MADE: {"doc_id": JSON_TEXT, "relevant": st.booleans(),
+                            "grade": st.none() | st.integers(0, 3)},
+            SESSION_ENDED: {"reason": st.sampled_from(END_REASONS)}, ANOMALY: {}}
+
+
+@st.composite
+def drawn_logs(draw) -> SessionLog:
+    """A log the reader accepts: a QueryIssued first, a SessionEnded last, and
+    between them any kinds, with int or float costs and any JSON payloads."""
+    middle = draw(st.lists(st.sampled_from([k for k in INTERACTION_KINDS if k != SESSION_ENDED]),
+                           max_size=6))
+    rows = [(kind, draw(st.integers(0, 10**18) | st.floats(0, allow_infinity=False)),
+             {**draw(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=2)),
+              **draw(st.fixed_dictionaries(PAYLOADS[kind]))})
+            for kind in [QUERY_ISSUED, *middle, SESSION_ENDED]]
+    log = make_log(rows, topic_id=draw(JSON_TEXT))
+    log.initial_queries = draw(st.lists(JSON_TEXT, max_size=2))
+    return log
+
+
 class TestLogFiles:
+    @settings(max_examples=200)
+    @given(drawn_logs())
+    def test_each_line_is_the_json_of_its_record(self, log):
+        def dumps(record):
+            return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+        data = session_log_to_jsonl(log)
+        header = {"record": "session", "topic_id": log.topic_id,
+                  "user_kind": log.user_kind.value, "seed": log.seed,
+                  "initial_queries": log.initial_queries, "config_hash": log.config_hash}
+        assert data.decode("utf-8").split("\n") == [
+            dumps(header),
+            *(dumps({"record": "interaction", "seq": it.seq, "kind": it.kind,
+                     "cost": it.cost, "payload": it.payload}) for it in log.interactions),
+            ""]
+        assert session_log_from_jsonl(data) == log
+
     # str.splitlines breaks a line at each of these; the writer leaves the
     # first three raw inside a string and escapes the rest
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"])
